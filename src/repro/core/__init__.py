@@ -5,7 +5,8 @@ The engine consumes a :class:`~repro.portfolio.program.ReinsuranceProgram`
 a :class:`~repro.ylt.table.YearLossTable` — one year loss per (layer, trial) —
 exactly as specified by the basic algorithm in Section II-B of the paper.
 
-Five interchangeable backends implement the same computation:
+Six interchangeable backends price the same computation under one shard
+scheduler (:class:`~repro.core.scheduler.PlanScheduler`):
 
 ==============  ==============================================================
 ``sequential``  Pure-Python transcription of the paper's basic algorithm
@@ -22,6 +23,8 @@ Five interchangeable backends implement the same computation:
                 model, reporting both the measured wall time of the NumPy
                 execution and the modelled kernel time on a Tesla-C2075-class
                 device.
+``native``      The vectorized fused path run by an in-repo C kernel
+                (bit-identical in float64), with a NumPy fallback.
 ==============  ==============================================================
 
 :class:`~repro.core.engine.AggregateRiskEngine` is the public facade that

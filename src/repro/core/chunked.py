@@ -3,130 +3,43 @@
 The vectorized backend materialises an ``(n_rows, shard_events)`` gather
 buffer; for the paper's full-scale workload (15 ELTs x 10^9 events) that is
 120 GB — exactly the kind of working set the optimised GPU kernel avoids by
-staging fixed-size chunks through shared memory.  This backend applies the
-same idea on the CPU: the flattened event stream is processed in
-trial-aligned chunks of about ``EngineConfig.chunk_events`` occurrences,
-bounding the temporary buffer to ``n_rows x chunk_events`` doubles (and, as
-a pleasant side effect, keeping it inside the last-level cache for realistic
-chunk sizes).  Chunks are cut at trial boundaries only, so the streamed
-result is bit-identical to the unchunked gather for any chunk size.
-
-With ``EngineConfig.fused_layers`` (the default) the chunking happens inside
-the fused multi-layer kernel: all plan rows are gathered from the stacked
-``(n_rows, catalog_size)`` loss matrix chunk by chunk and the per-trial
-reductions are computed as each chunk is processed.  The streaming
-accumulation needs the telescoped aggregate shortcut; the
-``use_aggregate_shortcut=False`` ablation falls back to the per-layer loop
-(or, for synthetic stacks, to one unchunked cumulative pass).
-
-:meth:`ChunkedEngine.run_plan` schedules the unified
-:class:`~repro.core.plan.ExecutionPlan` IR in shard-loop + accumulate form
-(see :mod:`repro.core.results`): each trial shard is streamed through event
-chunks independently and the per-shard partials merge exactly, so
+staging fixed-size chunks through shared memory.  This backend is the
+vectorized pricer with ``EngineConfig.chunk_events`` applied: the flattened
+event stream is processed in trial-aligned chunks of about that many
+occurrences, bounding the temporary buffer to ``n_rows x chunk_events``
+doubles.  Chunks are cut at trial boundaries only, so the streamed result is
+bit-identical to the unchunked gather for any chunk size, and
 ``trial_shards`` composes with ``chunk_events`` — the shard bounds what is
 resident, the chunk bounds what is gathered.
+
+The fused streaming accumulation needs the telescoped aggregate shortcut;
+the ``use_aggregate_shortcut=False`` ablation falls back to the per-layer
+chunked loop (or, for synthetic stacks, to one unchunked cumulative pass).
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Any, Dict
 
-from repro.core.config import EngineConfig
-from repro.core.kernels import layer_trial_losses_batch, layer_trial_losses_chunked
-from repro.core.plan import ExecutionPlan, finalize_plan_result
-from repro.core.results import EngineResult, PartialResult, ResultAccumulator
-from repro.parallel.partitioner import TrialRange
-from repro.utils.timing import PhaseTimer, Timer
+from repro.core.plan import ExecutionPlan
+from repro.core.vectorized import VectorizedEngine
 
 __all__ = ["ChunkedEngine"]
 
 
-class ChunkedEngine:
+class ChunkedEngine(VectorizedEngine):
     """NumPy backend streaming each trial shard through fixed-size event chunks."""
 
     name = "chunked"
 
-    def __init__(self, config: EngineConfig | None = None) -> None:
-        self.config = config if config is not None else EngineConfig(backend="chunked")
-
-    # ------------------------------------------------------------------ #
-    # Plan scheduler
-    # ------------------------------------------------------------------ #
-    def run_plan(self, plan: ExecutionPlan) -> EngineResult:
-        """Execute an :class:`~repro.core.plan.ExecutionPlan`, streaming events."""
+    def _mode(self, plan: ExecutionPlan) -> Dict[str, Any]:
+        # Programs fall back to the per-layer chunked loop without the
+        # shortcut; a synthetic stack (no per-layer matrices to fall back
+        # to) is priced by the fused kernel in one unchunked cumulative pass.
         config = self.config
-        timer = PhaseTimer(enabled=config.record_phases)
-        wall = Timer().start()
-
-        # Fused streaming needs the telescoped shortcut; programs fall back
-        # to the per-layer chunked loop without it, while a synthetic stack
-        # (no per-layer matrices to fall back to) is priced by the fused
-        # kernel in one unchunked cumulative pass instead.
-        synthetic = not plan.has_layers
-        fused = synthetic or (config.fused_layers and config.use_aggregate_shortcut)
-        chunk_events = (
-            config.chunk_events if (not fused or config.use_aggregate_shortcut) else None
-        )
-
-        shards = plan.shard_ranges(plan.n_shards or config.trial_shards)
-        accumulator = ResultAccumulator.for_plan(plan)
-        for trials in shards:
-            if fused:
-                event_ids, offsets = plan.yet.trial_window(trials.start, trials.stop)
-                losses, max_occ = layer_trial_losses_batch(
-                    (),
-                    event_ids,
-                    offsets,
-                    plan.terms,
-                    use_shortcut=config.use_aggregate_shortcut,
-                    record_max_occurrence=config.record_max_occurrence,
-                    timer=timer,
-                    chunk_events=chunk_events,
-                    stack=plan.stack(timer),
-                    row_map=plan.row_map,
-                )
-            else:
-                losses, max_occ = _per_layer_chunked_losses(plan, trials, config, timer)
-            accumulator.add(PartialResult(trials, losses, max_occ))
-
-        return finalize_plan_result(
-            plan,
-            self.name,
-            accumulator.year_losses(),
-            accumulator.max_occurrence_losses(),
-            wall.stop(),
-            {
-                "chunk_events": chunk_events,
-                "fused_layers": fused,
-                "trial_shards": len(shards),
-            },
-            phase_breakdown=timer.breakdown() if config.record_phases else None,
-        )
-
-
-def _per_layer_chunked_losses(
-    plan: ExecutionPlan, trials: TrialRange, config: EngineConfig, timer: PhaseTimer
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-row chunked loop: the ``fused_layers=False`` / cumulative ablation."""
-    event_ids, offsets = plan.yet.trial_window(trials.start, trials.stop)
-    losses = np.zeros((plan.n_rows, trials.size), dtype=np.float64)
-    max_occ = (
-        np.zeros((plan.n_rows, trials.size), dtype=np.float64)
-        if config.record_max_occurrence
-        else None
-    )
-    for row, layer in enumerate(plan.layers):
-        year_losses, trial_max = layer_trial_losses_chunked(
-            layer.loss_matrix(),
-            event_ids,
-            offsets,
-            layer.terms,
-            chunk_events=config.chunk_events,
-            use_shortcut=config.use_aggregate_shortcut,
-            record_max_occurrence=config.record_max_occurrence,
-            timer=timer,
-        )
-        losses[row] = year_losses
-        if max_occ is not None and trial_max is not None:
-            max_occ[row] = trial_max
-    return losses, max_occ
+        shortcut = config.use_aggregate_shortcut
+        fused = not plan.has_layers or (config.fused_layers and shortcut)
+        return {
+            "chunk_events": config.chunk_events if (not fused or shortcut) else None,
+            "fused_layers": fused,
+        }

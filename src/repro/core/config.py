@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from typing import Any
 
 from repro.parallel.device import GPUSpec
 from repro.parallel.scheduling import SchedulingPolicy
@@ -20,7 +20,6 @@ __all__ = [
     "ELT_REPRESENTATIONS",
     "BACKEND_NAMES",
     "DTYPE_NAMES",
-    "EXECUTION_MODES",
     "SHARED_MEMORY_MODES",
 ]
 
@@ -39,13 +38,6 @@ BACKEND_NAMES: tuple[str, ...] = (
 
 #: Loss-stack precisions of the native backend's fused gather path.
 DTYPE_NAMES: tuple[str, ...] = ("float64", "float32")
-
-#: Facade dispatch modes.  Only ``"plan"`` remains: every workload lowers to
-#: an :class:`~repro.core.plan.ExecutionPlan` executed by the backend's plan
-#: scheduler.  The pre-plan ``"legacy"`` per-backend dispatch was kept one
-#: release behind the plan-vs-legacy conformance suite and has now been
-#: removed as scheduled; requesting it raises with a migration hint.
-EXECUTION_MODES: tuple[str, ...] = ("plan",)
 
 #: Multicore transport of the plan's read-only arrays: ``"auto"`` publishes
 #: them through shared memory whenever workers cannot inherit the parent's
@@ -67,14 +59,6 @@ class EngineConfig:
     ----------
     backend:
         One of :data:`BACKEND_NAMES`.
-    execution:
-        ``"plan"`` (the only mode) lowers ``run`` to an
-        :class:`~repro.core.plan.ExecutionPlan` and executes it through the
-        backend's plan scheduler — the single code path shared with
-        ``run_many``, ``run_stacked``, the portfolio sweep and the
-        :class:`~repro.service.service.RiskService` request path.  The
-        pre-plan ``"legacy"`` dispatch has been removed; requesting it
-        raises a ``ValueError`` with a migration hint.
     shared_memory:
         How the multicore plan scheduler transports the fused loss stack and
         the YET columns to its workers: ``"auto"`` (default) attaches them
@@ -96,9 +80,9 @@ class EngineConfig:
         Price all layers of the program through the fused multi-layer batch
         kernel (one stacked ``(n_layers, catalog_size)`` gather per YET pass)
         instead of looping over the layers one at a time.  Honoured by the
-        vectorized, chunked and multicore backends; the sequential and gpu
-        backends always use their per-layer reference paths.  Both paths
-        produce identical year losses; disabling exists for the
+        vectorized, chunked, multicore and native backends; the sequential
+        and gpu backends always use their per-layer reference paths.  Both
+        paths produce identical year losses; disabling exists for the
         fused-vs-per-layer benchmark and conformance tests.
     record_max_occurrence:
         Record each trial's largest occurrence loss (needed for OEP curves);
@@ -107,8 +91,8 @@ class EngineConfig:
         Record the per-phase timing breakdown (Figure 6b); adds measurement
         overhead, so benchmarks of raw speed leave it off.
     trial_shards:
-        Trial-shard count of the scheduler's shard loop: every backend
-        executes a plan as this many disjoint trial shards, accumulating the
+        Trial-shard count of the scheduler's shard loop: every plan is
+        executed as this many disjoint trial shards, accumulating the
         per-shard :class:`~repro.core.results.PartialResult` blocks into the
         final result.  The merged output is **bit-identical** for every shard
         count (per-trial reductions are trial-local); sharding exists to
@@ -167,12 +151,9 @@ class EngineConfig:
         default) uses the OpenMP runtime default.  The kernel's
         (row, trial) cells are independent, so the thread count never
         changes the results.
-    extra:
-        Free-form options for experimental backends.
     """
 
     backend: str = "vectorized"
-    execution: str = "plan"
     shared_memory: str = "auto"
     elt_representation: str = "direct"
     use_aggregate_shortcut: bool = True
@@ -192,25 +173,11 @@ class EngineConfig:
     gpu_spec: GPUSpec = field(default_factory=GPUSpec)
     dtype: str = "float64"
     native_threads: int = 0
-    extra: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.backend not in BACKEND_NAMES:
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected one of {BACKEND_NAMES}"
-            )
-        if self.execution not in EXECUTION_MODES:
-            if self.execution == "legacy":
-                raise ValueError(
-                    "execution='legacy' has been removed: the per-backend "
-                    "pre-plan dispatch was deleted after its deprecation "
-                    "window.  Drop the execution override — the plan "
-                    "pipeline (the default) is bit-identical to the old "
-                    "dispatch, as guaranteed by the retired plan-vs-legacy "
-                    "conformance suite."
-                )
-            raise ValueError(
-                f"unknown execution mode {self.execution!r}; expected one of {EXECUTION_MODES}"
             )
         if self.shared_memory not in SHARED_MEMORY_MODES:
             raise ValueError(

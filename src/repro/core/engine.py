@@ -3,10 +3,10 @@
 :class:`AggregateRiskEngine` selects one of the six backends from an
 :class:`~repro.core.config.EngineConfig` and drives it through the unified
 **ExecutionPlan** pipeline: every public workload is *lowered* to an
-:class:`~repro.core.plan.ExecutionPlan` (tiles over trial blocks x stacked
-term-netted layer rows) by a :class:`~repro.core.plan.PlanBuilder`, and the
-backend *schedules* that plan through the shared kernels — facade -> plan ->
-scheduler.  Typical use::
+:class:`~repro.core.plan.ExecutionPlan` (trials x stacked term-netted layer
+rows) by a :class:`~repro.core.plan.PlanBuilder`, and the one shard scheduler
+(:class:`~repro.core.scheduler.PlanScheduler`) executes that plan with the
+backend as its pricer — facade -> plan -> scheduler.  Typical use::
 
     from repro.core import AggregateRiskEngine, EngineConfig
 
@@ -49,7 +49,7 @@ content-addressed cache of lowered plans and fused stacks, and (multicore)
 retained shared-memory workspaces, so repeated requests skip straight to
 the kernel pass — see :meth:`retain_shared_workspaces`.
 
-Every backend schedules a plan as a loop over disjoint **trial shards**
+The scheduler executes a plan as a loop over disjoint **trial shards**
 whose :class:`~repro.core.results.PartialResult` blocks merge exactly
 (``EngineConfig(trial_shards=8)``, or ``plan.shard(n)`` merged through a
 :class:`~repro.core.results.ResultAccumulator`); the merged result is
@@ -58,11 +58,6 @@ bit-identical to the monolithic run for any shard count.
 pointed at a :class:`~repro.yet.io.YetShardReader`, it prices a stored YET
 larger than RAM with resident memory bounded by one shard plus the
 accumulated year-loss blocks.
-
-The pre-plan per-backend ``run`` dispatch (the former ``"legacy"`` execution
-mode) was kept one release behind the plan-vs-legacy conformance suite and
-has been removed as scheduled; requesting that mode on
-:class:`~repro.core.config.EngineConfig` now raises with a migration hint.
 
 The facade also provides :meth:`AggregateRiskEngine.compare_backends`, which
 runs the same workload through several backends (optionally through both the
@@ -134,8 +129,8 @@ class AggregateRiskEngine:
 
         This is the single execution entry every other method funnels into:
         ``run``/``run_many``/``run_stacked`` only differ in how they *lower*
-        their workload to a plan.  The backend schedules the plan's tiles
-        through the shared kernels and returns the combined result (use
+        their workload to a plan.  The backend runs the plan's shard loop
+        and returns the combined result (use
         :meth:`ExecutionPlan.split_result` to break a multi-segment plan's
         result back apart).
         """
@@ -210,16 +205,10 @@ class AggregateRiskEngine:
             accumulator.add_result(result, trials)
             shards_run += 1
 
-        shape = WorkloadShape(
-            n_trials=source.n_trials,
-            events_per_trial=max(source.mean_events_per_trial, 1e-9),
-            n_elts=max(int(round(program.mean_elts_per_layer)), 1),
-            n_layers=program.n_layers,
-        )
         return accumulator.finalize(
             self.backend_name,
             wall_seconds=wall.stop(),
-            workload_shape=shape,
+            workload_shape=WorkloadShape.of_program(program, source),
             details={
                 "sharded": {"n_shards": shards_run, "source": "reader"},
                 "merged_shards": {

@@ -19,55 +19,28 @@ the basic (global-memory) or optimised (shared-memory, chunked) kernel.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.core.config import EngineConfig
-from repro.core.kernels import layer_trial_losses, layer_trial_losses_chunked
-from repro.core.results import EngineResult
+from repro.core.kernels import layer_trial_losses_per_layer
+from repro.core.plan import ExecutionPlan
+from repro.core.scheduler import PlanScheduler, ShardRun
 from repro.parallel.device import KernelConfig, KernelEstimate, SimulatedGPU, WorkloadShape
-from repro.utils.timing import PhaseTimer, Timer
+from repro.parallel.partitioner import chunk_partition
+from repro.utils.timing import PhaseTimer
 
 __all__ = ["GPUSimulatedEngine"]
 
 
-def _launch_block(layer, event_ids, offsets, config: EngineConfig, timer: PhaseTimer):
-    """One simulated kernel launch: a block of trials for one layer."""
-    if config.gpu_optimised:
-        return layer_trial_losses_chunked(
-            layer.loss_matrix(),
-            event_ids,
-            offsets,
-            layer.terms,
-            chunk_events=config.threads_per_block * config.gpu_chunk_size,
-            use_shortcut=config.use_aggregate_shortcut,
-            record_max_occurrence=config.record_max_occurrence,
-            timer=timer,
-        )
-    return layer_trial_losses(
-        layer.loss_matrix(),
-        event_ids,
-        offsets,
-        layer.terms,
-        use_shortcut=config.use_aggregate_shortcut,
-        record_max_occurrence=config.record_max_occurrence,
-        timer=timer,
-    )
-
-
-class GPUSimulatedEngine:
+class GPUSimulatedEngine(PlanScheduler):
     """Functional execution on the simulated many-core device."""
 
     name = "gpu"
 
     def __init__(self, config: EngineConfig | None = None) -> None:
-        self.config = config if config is not None else EngineConfig(backend="gpu")
+        super().__init__(config)
         self.device = SimulatedGPU(self.config.gpu_spec)
 
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
     def kernel_config(self) -> KernelConfig:
         """The kernel launch configuration implied by the engine config."""
         return KernelConfig(
@@ -76,90 +49,64 @@ class GPUSimulatedEngine:
             optimised=self.config.gpu_optimised,
         )
 
-    def run_plan(self, plan) -> EngineResult:
-        """Execute an :class:`~repro.core.plan.ExecutionPlan` tile by tile.
+    def open(self, plan: ExecutionPlan, timer: PhaseTimer) -> ShardRun:
+        """Price the plan block by simulated block, and model each layer's launch.
 
-        The plan's iteration space maps directly onto the device model: one
-        simulated CUDA block is ``threads_per_block`` trials x 1 row, in
-        the launch order of the paper's per-layer kernel loop.  The plan is
-        executed shard by shard like every backend (each shard launches its
-        own block grid); per-trial results are trial-local, so the shard and
-        block decomposition never moves a bit.  Synthetic plans (precomputed
-        stack rows without source layers) are not supported by the device
-        model.
+        One simulated CUDA block is ``threads_per_block`` trials x 1 row, as
+        in the paper's per-layer kernel loop; per-trial results are
+        trial-local, so the block decomposition never moves a bit.
+        Synthetic plans (precomputed stack rows without source layers) are
+        not supported by the device model.
         """
         if not plan.has_layers:
             raise ValueError(
                 "backend 'gpu' has no stacked execution path; "
-                "use one of the fused backends (vectorized, chunked, multicore)"
+                "use one of the fused backends (vectorized, chunked, multicore, native)"
             )
-        from repro.core.plan import finalize_plan_result
-        from repro.core.results import PartialResult, ResultAccumulator
-        from repro.parallel.partitioner import chunk_partition
-
         config = self.config
-        kernel_config = self.kernel_config()
-        timer = PhaseTimer(enabled=config.record_phases)
-        wall = Timer().start()
-        yet = plan.yet
         threads = config.threads_per_block
+        matrices = [layer.loss_matrix() for layer in plan.layers]
+        terms = [layer.terms for layer in plan.layers]
+        options = dict(
+            use_shortcut=config.use_aggregate_shortcut,
+            record_max_occurrence=config.record_max_occurrence,
+            timer=timer,
+            # The optimised kernel stages each block's events in chunks.
+            chunk_events=threads * config.gpu_chunk_size if config.gpu_optimised else None,
+        )
 
-        shards = plan.shard_ranges(plan.n_shards or config.trial_shards)
-        accumulator = ResultAccumulator.for_plan(plan)
-        for trials in shards:
+        def price(trials):
             losses = np.zeros((plan.n_rows, trials.size), dtype=np.float64)
-            max_occ = (
-                np.zeros((plan.n_rows, trials.size), dtype=np.float64)
-                if config.record_max_occurrence
-                else None
-            )
-            for row in range(plan.n_rows):
-                for block in chunk_partition(trials.size, threads):
-                    start = trials.start + block.start
-                    stop = trials.start + block.stop
-                    event_ids, offsets = yet.trial_window(start, stop)
-                    year_losses, trial_max = _launch_block(
-                        plan.layers[row], event_ids, offsets, config, timer
-                    )
-                    losses[row, block.start : block.stop] = year_losses
-                    if max_occ is not None and trial_max is not None:
-                        max_occ[row, block.start : block.stop] = trial_max
-            accumulator.add(PartialResult(trials, losses, max_occ))
+            max_occ = np.zeros_like(losses) if config.record_max_occurrence else None
+            for block in chunk_partition(trials.size, threads):
+                event_ids, offsets = plan.yet.trial_window(
+                    trials.start + block.start, trials.start + block.stop
+                )
+                block_losses, block_max = layer_trial_losses_per_layer(
+                    matrices, event_ids, offsets, terms, **options
+                )
+                losses[:, block.start : block.stop] = block_losses
+                if max_occ is not None:
+                    max_occ[:, block.start : block.stop] = block_max
+            return losses, max_occ
 
-        estimates: List[KernelEstimate] = [
+        kernel_config = self.kernel_config()
+        events_per_trial = max(plan.yet.mean_events_per_trial, 1e-9)
+        estimates = [
             self.device.estimate(
-                WorkloadShape(
-                    n_trials=plan.n_trials,
-                    events_per_trial=max(yet.mean_events_per_trial, 1e-9),
-                    n_elts=layer.n_elts,
-                    n_layers=1,
-                ),
-                kernel_config,
+                WorkloadShape(plan.n_trials, events_per_trial, layer.n_elts), kernel_config
             )
             for layer in plan.layers
         ]
-        return finalize_plan_result(
-            plan,
-            self.name,
-            accumulator.year_losses(),
-            accumulator.max_occurrence_losses(),
-            wall.stop(),
-            {
-                "threads_per_block": config.threads_per_block,
-                "chunk_size": config.gpu_chunk_size,
-                "optimised": config.gpu_optimised,
-                "device": self.device.spec.name,
-                "fused_layers": False,
-                "trial_shards": len(shards),
-            },
-            phase_breakdown=timer.breakdown() if config.record_phases else None,
-            modeled=tuple(estimates),
-            modeled_seconds=float(sum(est.seconds for est in estimates)),
-        )
+        details = {
+            "threads_per_block": threads,
+            "chunk_size": config.gpu_chunk_size,
+            "optimised": config.gpu_optimised,
+            "device": self.device.spec.name,
+            "fused_layers": False,
+        }
+        return ShardRun(price, details, modeled=estimates)
 
-    # ------------------------------------------------------------------ #
-    # Model-only estimation (used by the full-scale projections)
-    # ------------------------------------------------------------------ #
     def estimate_only(self, shape: WorkloadShape) -> KernelEstimate:
         """Modelled kernel time for a workload shape without executing it."""
         return self.device.estimate(shape, self.kernel_config())

@@ -45,6 +45,7 @@ __all__ = [
     "layer_trial_losses_chunked",
     "build_layer_loss_stack",
     "layer_trial_losses_batch",
+    "layer_trial_losses_per_layer",
     "replication_portfolio_losses",
 ]
 
@@ -120,6 +121,48 @@ def layer_trial_losses(
             segment_max(occurrence, trial_offsets) if record_max_occurrence else None
         )
     return year_losses, max_occurrence
+
+
+def layer_trial_losses_per_layer(
+    matrices: Sequence[LayerLossMatrix],
+    event_ids: np.ndarray,
+    trial_offsets: np.ndarray,
+    terms: Sequence[LayerTerms],
+    use_shortcut: bool = True,
+    record_max_occurrence: bool = True,
+    timer: PhaseTimer | None = None,
+    chunk_events: int | None = None,
+) -> Tuple[np.ndarray, np.ndarray | None]:
+    """Year losses of many layers, one kernel call per layer.
+
+    The ``fused_layers=False`` ablation of :func:`layer_trial_losses_batch`
+    (same outputs, same shapes): each layer re-gathers the events against
+    its own dense matrix, through :func:`layer_trial_losses` or, with
+    ``chunk_events``, :func:`layer_trial_losses_chunked`.
+    """
+    n_trials = len(trial_offsets) - 1
+    losses = np.zeros((len(matrices), n_trials), dtype=np.float64)
+    max_occurrence = (
+        np.zeros((len(matrices), n_trials), dtype=np.float64)
+        if record_max_occurrence
+        else None
+    )
+    options = dict(
+        use_shortcut=use_shortcut, record_max_occurrence=record_max_occurrence, timer=timer
+    )
+    for row, (matrix, layer_terms) in enumerate(zip(matrices, terms)):
+        if chunk_events is None:
+            year_losses, trial_max = layer_trial_losses(
+                matrix, event_ids, trial_offsets, layer_terms, **options
+            )
+        else:
+            year_losses, trial_max = layer_trial_losses_chunked(
+                matrix, event_ids, trial_offsets, layer_terms, chunk_events, **options
+            )
+        losses[row] = year_losses
+        if max_occurrence is not None and trial_max is not None:
+            max_occurrence[row] = trial_max
+    return losses, max_occurrence
 
 
 def replication_portfolio_losses(year_losses: np.ndarray, n_layers: int) -> np.ndarray:

@@ -20,11 +20,10 @@ the role of "threads per core" (Fig. 3b): the trial range is over-decomposed
 into ``oversubscription x n_workers`` chunks that idle workers pull from the
 pool's queue.
 
-:meth:`MulticoreEngine.run_plan` schedules the unified
-:class:`~repro.core.plan.ExecutionPlan` IR by mapping its trial tiles over
-the worker pool; it is the backend's *only* entry point — the pre-plan
-per-backend ``run`` dispatch was removed once the plan-vs-legacy
-conformance window closed.
+The backend is the one parallel executor under the shared shard loop
+(:class:`~repro.core.scheduler.PlanScheduler`): it maps every shard's trial
+blocks over the pool, and each worker prices its block with the same fused
+and per-layer kernels as the vectorized backend.
 
 For serving workloads the backend can additionally *retain* the published
 workspace across runs (``retain_workspaces``): re-executing the same plan
@@ -41,21 +40,22 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Dict, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.config import EngineConfig
-from repro.core.kernels import layer_trial_losses, layer_trial_losses_batch
-from repro.core.plan import ExecutionPlan, finalize_plan_result
-from repro.core.results import EngineResult, PartialResult, ResultAccumulator
+from repro.core.kernels import layer_trial_losses_batch, layer_trial_losses_per_layer
+from repro.core.plan import ExecutionPlan
+from repro.core.results import PartialResult
+from repro.core.scheduler import PlanScheduler, ShardRun
 from repro.financial.terms import LayerTerms, LayerTermsVectors
 from repro.elt.combined import LayerLossMatrix
 from repro.parallel.executor import ParallelConfig, TrialBlockExecutor
 from repro.parallel.partitioner import TrialRange
 from repro.parallel.shared_memory import SharedArrayDescriptor, SharedWorkspace
-from repro.utils.timing import Timer
+from repro.utils.timing import PhaseTimer
 
 __all__ = ["MulticoreEngine", "MulticoreContext"]
 
@@ -68,24 +68,21 @@ class MulticoreContext:
     ----------
     event_ids, trial_offsets:
         The YET's flattened arrays.
-    matrices:
-        One dense loss matrix per layer (per-layer path; ``None`` when the
-        fused stack is used instead).
     terms:
-        One :class:`LayerTerms` per layer (per-layer path; empty when the
-        fused stack carries ``terms_vectors`` instead).
+        Structure-of-arrays layer terms with ``stack``; one
+        :class:`LayerTerms` per layer with ``matrices``.
     use_shortcut, record_max_occurrence:
         Engine options forwarded to the kernel.
     stack:
-        Precomputed fused ``(n_rows, catalog_size)`` loss stack
-        (:func:`~repro.core.kernels.build_layer_loss_stack`); when present
+        Precomputed fused ``(n_rows, catalog_size)`` loss stack; when present
         each worker prices *all* rows of its trial block through the fused
-        batch kernel instead of looping over the layers.
-    terms_vectors:
-        Structure-of-arrays layer terms; always set together with ``stack``.
+        batch kernel.
     row_map:
         Optional plan-row -> stack-row dedup mapping (see
         :class:`~repro.core.plan.ExecutionPlan`).
+    matrices:
+        One dense loss matrix per layer: the per-layer ablation, used when
+        there is no ``stack``.
     attachments:
         Worker-side keep-alive handles for shared-memory views; ``None``
         when the arrays were inherited or pickled.
@@ -93,13 +90,12 @@ class MulticoreContext:
 
     event_ids: np.ndarray
     trial_offsets: np.ndarray
-    matrices: Sequence[LayerLossMatrix] | None
-    terms: Sequence[LayerTerms]
+    terms: LayerTermsVectors | Sequence[LayerTerms]
     use_shortcut: bool
     record_max_occurrence: bool
     stack: np.ndarray | None = None
-    terms_vectors: LayerTermsVectors | None = None
     row_map: np.ndarray | None = None
+    matrices: Sequence[LayerLossMatrix] | None = None
     attachments: Any = None
 
 
@@ -108,95 +104,113 @@ class _SharedPlanContext:
 
     The parent publishes the fused stack and the YET columns as shared
     segments; each worker calls this factory once (in the pool initializer)
-    to attach zero-copy views and assemble its :class:`MulticoreContext`.
-    Only the compact descriptors and the small term vectors travel through
-    the pickle channel.
+    to attach zero-copy views and fill them into ``template``, a
+    :class:`MulticoreContext` without its big arrays.  Only the compact
+    descriptors and the small term vectors travel through the pickle
+    channel.
     """
 
     def __init__(
-        self,
-        descriptors: Mapping[str, SharedArrayDescriptor],
-        terms_vectors: LayerTermsVectors,
-        row_map: np.ndarray | None,
-        use_shortcut: bool,
-        record_max_occurrence: bool,
+        self, descriptors: Mapping[str, SharedArrayDescriptor], template: MulticoreContext
     ) -> None:
         self.descriptors = dict(descriptors)
-        self.terms_vectors = terms_vectors
-        self.row_map = row_map
-        self.use_shortcut = use_shortcut
-        self.record_max_occurrence = record_max_occurrence
+        self.template = template
 
     def __call__(self) -> MulticoreContext:
         attachments = SharedWorkspace.attach_all(self.descriptors)
-        return MulticoreContext(
+        return replace(
+            self.template,
             event_ids=attachments["event_ids"].array,
             trial_offsets=attachments["trial_offsets"].array,
-            matrices=None,
-            terms=(),
-            use_shortcut=self.use_shortcut,
-            record_max_occurrence=self.record_max_occurrence,
             stack=attachments["stack"].array,
-            terms_vectors=self.terms_vectors,
-            row_map=self.row_map,
             attachments=attachments,
         )
 
 
 def _analyse_block(context: MulticoreContext, block: TrialRange) -> tuple[int, np.ndarray, np.ndarray | None]:
-    """Worker-side task: analyse one block of trials for every layer.
+    """Worker-side task: price one block of trials for every row.
 
     Returns ``(start_trial, losses, max_occurrence)`` where ``losses`` has
     shape ``(n_rows, block_size)``.
     """
-    start, stop = block.start, block.stop
-    lo = int(context.trial_offsets[start])
-    hi = int(context.trial_offsets[stop])
+    lo = int(context.trial_offsets[block.start])
+    hi = int(context.trial_offsets[block.stop])
     event_ids = context.event_ids[lo:hi]
-    offsets = context.trial_offsets[start : stop + 1] - lo
-
+    offsets = context.trial_offsets[block.start : block.stop + 1] - lo
+    options = dict(
+        use_shortcut=context.use_shortcut,
+        record_max_occurrence=context.record_max_occurrence,
+    )
     if context.stack is not None:
         losses, max_occ = layer_trial_losses_batch(
-            (),
-            event_ids,
-            offsets,
-            context.terms_vectors,
-            use_shortcut=context.use_shortcut,
-            record_max_occurrence=context.record_max_occurrence,
-            stack=context.stack,
-            row_map=context.row_map,
+            (), event_ids, offsets, context.terms,
+            stack=context.stack, row_map=context.row_map, **options,
         )
-        return block.start, losses, max_occ
-
-    n_layers = len(context.matrices)
-    losses = np.zeros((n_layers, block.size), dtype=np.float64)
-    max_occ = (
-        np.zeros((n_layers, block.size), dtype=np.float64)
-        if context.record_max_occurrence
-        else None
-    )
-    for layer_index, (matrix, terms) in enumerate(zip(context.matrices, context.terms)):
-        year_losses, trial_max = layer_trial_losses(
-            matrix,
-            event_ids,
-            offsets,
-            terms,
-            use_shortcut=context.use_shortcut,
-            record_max_occurrence=context.record_max_occurrence,
+    else:
+        losses, max_occ = layer_trial_losses_per_layer(
+            context.matrices, event_ids, offsets, context.terms, **options
         )
-        losses[layer_index] = year_losses
-        if max_occ is not None and trial_max is not None:
-            max_occ[layer_index] = trial_max
     return block.start, losses, max_occ
 
 
-class MulticoreEngine:
+def _publish(plan: ExecutionPlan, stack: np.ndarray) -> SharedWorkspace:
+    """A shared-memory workspace holding the stack and the YET columns."""
+    workspace = SharedWorkspace()
+    workspace.add("stack", stack)
+    workspace.add("event_ids", plan.yet.event_ids)
+    workspace.add("trial_offsets", plan.yet.trial_offsets)
+    return workspace
+
+
+class _PoolRun(ShardRun):
+    """The process-pool executor: every shard's trial blocks mapped in parallel.
+
+    ``workspace`` is the shared-memory workspace this run owns (closed by
+    :meth:`close`); retained workspaces outlive the run and are not set.
+    """
+
+    def __init__(
+        self,
+        executor: TrialBlockExecutor,
+        details: Dict[str, Any],
+        workspace: SharedWorkspace | None = None,
+    ) -> None:
+        super().__init__(None, details)
+        self.executor = executor
+        self.workspace = workspace
+
+    def map(self, shards: Sequence[TrialRange]):
+        # Each shard is decomposed into the configured worker schedule; the
+        # flattened block list runs through one pool (one worker start-up
+        # for the whole plan, however many shards it has).  A worker block
+        # is a trial shard too — disjoint by construction — so the merged
+        # result is bit-identical for any worker count or policy.
+        blocks = [
+            TrialRange(trials.start + block.start, trials.start + block.stop)
+            for trials in shards
+            for block in self.executor.schedule_for(trials.size).blocks
+        ]
+        self.details["n_blocks"] = len(blocks)
+        for start, losses, max_occ in self.executor.run(_analyse_block, work_items=blocks):
+            yield PartialResult(TrialRange(start, start + losses.shape[1]), losses, max_occ)
+
+    def close(self) -> None:
+        # A worker dying mid-block must not leak the shared segments: the
+        # owner unlinks them on every exit path (an atexit guard in
+        # shared_memory.py backstops even this).
+        if self.workspace is not None:
+            self.workspace.close()
+
+
+class MulticoreEngine(PlanScheduler):
     """Multi-process backend partitioning trials over worker processes."""
 
     name = "multicore"
+    # Worker processes do not report phase times back.
+    records_phases = False
 
     def __init__(self, config: EngineConfig | None = None) -> None:
-        self.config = config if config is not None else EngineConfig(backend="multicore")
+        super().__init__(config)
         #: Keep published workspaces alive across runs (warm-engine serving).
         self.retain_workspaces = False
         self._retained: "weakref.WeakKeyDictionary[ExecutionPlan, SharedWorkspace]" = (
@@ -244,23 +258,15 @@ class MulticoreEngine:
         segments, and a ``weakref.finalize`` on the plan guarantees the
         segments are unlinked no later than the plan's own death.
         """
-        if self.retain_workspaces:
-            with self._retained_lock:
-                workspace = self._retained.get(plan)
-                if workspace is not None:
-                    return workspace, False, True
-                workspace = SharedWorkspace()
-                workspace.add("stack", stack)
-                workspace.add("event_ids", plan.yet.event_ids)
-                workspace.add("trial_offsets", plan.yet.trial_offsets)
-                self._retained[plan] = workspace
-                weakref.finalize(plan, workspace.close)
-                return workspace, False, False
-        workspace = SharedWorkspace()
-        workspace.add("stack", stack)
-        workspace.add("event_ids", plan.yet.event_ids)
-        workspace.add("trial_offsets", plan.yet.trial_offsets)
-        return workspace, True, False
+        if not self.retain_workspaces:
+            return _publish(plan, stack), True, False
+        with self._retained_lock:
+            workspace = self._retained.get(plan)
+            if workspace is not None:
+                return workspace, False, True
+            workspace = self._retained[plan] = _publish(plan, stack)
+            weakref.finalize(plan, workspace.close)
+            return workspace, False, False
 
     def release_workspaces(self) -> None:
         """Close every workspace retained across runs (idempotent)."""
@@ -271,121 +277,64 @@ class MulticoreEngine:
             workspace.close()
 
     # ------------------------------------------------------------------ #
-    # Plan scheduler
+    # Per-run setup
     # ------------------------------------------------------------------ #
-    def run_plan(self, plan: ExecutionPlan) -> EngineResult:
-        """Execute an :class:`~repro.core.plan.ExecutionPlan` across workers.
+    def open(self, plan: ExecutionPlan, timer: PhaseTimer) -> ShardRun:
+        """Build the worker context and the pool run for one plan.
 
-        The plan's trial shards are each decomposed into the configured
-        worker schedule; all blocks of all shards run through one pool, and
-        every block's result is accumulated as a
-        :class:`~repro.core.results.PartialResult` (a worker block *is* a
-        trial shard — disjoint by construction), so the assembled result is
-        bit-identical for any worker count, scheduling policy or shard
-        count.
+        Fused runs ship the plan's stack (inherited, pickled or published
+        through shared memory); the per-layer ablation ships the layers'
+        dense matrices.
         """
         config = self.config
-        wall = Timer().start()
-
         fused = config.fused_layers or not plan.has_layers
         use_shm = fused and self._uses_shared_memory()
-        parallel_config = self._parallel_config()
-
-        shards = plan.shard_ranges(plan.n_shards or config.trial_shards)
-
-        workspace: SharedWorkspace | None = None
-        owns_workspace = False
-        workspace_reused = False
-        try:
-            if fused:
-                stack = plan.stack()
-                if use_shm:
-                    # Publish the big read-only arrays once; workers attach
-                    # zero-copy views instead of unpickling them per worker.
-                    # Under retention a re-executed plan reuses the segments
-                    # published by its first run.
-                    workspace, owns_workspace, workspace_reused = self._acquire_workspace(
-                        plan, stack
-                    )
-                    executor = TrialBlockExecutor(
-                        parallel_config,
-                        context_factory=_SharedPlanContext(
-                            workspace.descriptors(),
-                            plan.terms,
-                            plan.row_map,
-                            config.use_aggregate_shortcut,
-                            config.record_max_occurrence,
-                        ),
-                    )
-                else:
-                    context = MulticoreContext(
-                        event_ids=plan.yet.event_ids,
-                        trial_offsets=plan.yet.trial_offsets,
-                        matrices=None,
-                        terms=(),
-                        use_shortcut=config.use_aggregate_shortcut,
-                        record_max_occurrence=config.record_max_occurrence,
-                        stack=stack,
-                        terms_vectors=plan.terms,
-                        row_map=plan.row_map,
-                    )
-                    executor = TrialBlockExecutor(parallel_config, context=context)
-            else:
-                context = MulticoreContext(
-                    event_ids=plan.yet.event_ids,
-                    trial_offsets=plan.yet.trial_offsets,
-                    matrices=[layer.loss_matrix() for layer in plan.layers],
-                    terms=[layer.terms for layer in plan.layers],
-                    use_shortcut=config.use_aggregate_shortcut,
-                    record_max_occurrence=config.record_max_occurrence,
-                )
-                executor = TrialBlockExecutor(parallel_config, context=context)
-
-            # Each shard is decomposed into the configured worker schedule;
-            # the flattened block list runs through one pool (one worker
-            # start-up for the whole plan, however many shards it has).
-            blocks: List[TrialRange] = []
-            for trials in shards:
-                schedule = executor.schedule_for(trials.size)
-                blocks.extend(
-                    TrialRange(trials.start + block.start, trials.start + block.stop)
-                    for block in schedule.blocks
-                )
-            block_results: List[tuple[int, np.ndarray, np.ndarray | None]] = executor.run(
-                _analyse_block, work_items=blocks
-            )
-        finally:
-            # A worker dying mid-block must not leak the shared segments:
-            # the owner unlinks them on every exit path (an atexit guard in
-            # shared_memory.py backstops even this).  Retained workspaces
-            # are closed by release_workspaces() or the plan's finalizer.
-            if workspace is not None and owns_workspace:
-                workspace.close()
-
-        accumulator = ResultAccumulator.for_plan(plan)
-        for start, block_losses, block_max in block_results:
-            accumulator.add(
-                PartialResult(
-                    TrialRange(start, start + block_losses.shape[1]),
-                    block_losses,
-                    block_max,
-                )
-            )
         details: Dict[str, Any] = {
             "n_workers": config.n_workers,
             "scheduling": str(config.scheduling),
             "oversubscription": config.oversubscription,
-            "n_blocks": len(blocks),
+            "n_blocks": 0,
             "fused_layers": fused,
             "shared_memory": use_shm,
-            "workspace_reused": workspace_reused,
-            "trial_shards": len(shards),
+            "workspace_reused": False,
         }
-        return finalize_plan_result(
-            plan,
-            self.name,
-            accumulator.year_losses(),
-            accumulator.max_occurrence_losses(),
-            wall.stop(),
+        parallel_config = self._parallel_config()
+        options = dict(
+            use_shortcut=config.use_aggregate_shortcut,
+            record_max_occurrence=config.record_max_occurrence,
+        )
+        yet = plan.yet
+        if fused:
+            context = MulticoreContext(
+                yet.event_ids,
+                yet.trial_offsets,
+                terms=plan.terms,
+                stack=plan.stack(timer),
+                row_map=plan.row_map,
+                **options,
+            )
+        else:
+            context = MulticoreContext(
+                yet.event_ids,
+                yet.trial_offsets,
+                terms=[layer.terms for layer in plan.layers],
+                matrices=[layer.loss_matrix() for layer in plan.layers],
+                **options,
+            )
+        if not use_shm:
+            return _PoolRun(TrialBlockExecutor(parallel_config, context=context), details)
+        # Publish the big read-only arrays once; workers attach zero-copy
+        # views instead of unpickling them per worker.  Under retention a
+        # re-executed plan reuses the segments published by its first run.
+        workspace, owns_workspace, details["workspace_reused"] = self._acquire_workspace(
+            plan, context.stack
+        )
+        factory = _SharedPlanContext(
+            workspace.descriptors(),
+            replace(context, event_ids=None, trial_offsets=None, stack=None),
+        )
+        return _PoolRun(
+            TrialBlockExecutor(parallel_config, context_factory=factory),
             details,
+            workspace if owns_workspace else None,
         )

@@ -25,7 +25,7 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Callable, Dict
 
 import numpy as np
 
@@ -85,8 +85,28 @@ def find_compiler() -> str | None:
     return None
 
 
+#: Per-toolchain probe results, keyed by ``(probe, compiler path)``.
+_toolchain_probes: Dict[tuple[str, str], Any] = {}
+_toolchain_lock = threading.Lock()
+
+
+def _memoised_probe(kind: str, cc: str, probe: Callable[[str], Any]) -> Any:
+    """``probe(cc)``, run once per compiler path for the life of the process."""
+    key = (kind, cc)
+    with _toolchain_lock:
+        if key in _toolchain_probes:
+            return _toolchain_probes[key]
+    value = probe(cc)
+    with _toolchain_lock:
+        return _toolchain_probes.setdefault(key, value)
+
+
 def compiler_version(cc: str) -> str:
-    """First line of ``cc --version`` (used in the build signature)."""
+    """First line of ``cc --version`` (used in the build signature); memoised."""
+    return _memoised_probe("version", cc, _probe_version)
+
+
+def _probe_version(cc: str) -> str:
     try:
         probe = subprocess.run(
             [cc, "--version"], capture_output=True, text=True, check=False, timeout=30
@@ -102,9 +122,6 @@ _OPENMP_PROBE_SOURCE = (
     "int are_openmp_probe(void) { return omp_get_max_threads(); }\n"
 )
 
-_openmp_support: Dict[str, bool] = {}
-_openmp_lock = threading.Lock()
-
 
 def openmp_flags(cc: str) -> tuple[str, ...]:
     """``("-fopenmp",)`` when the compiler can build with it, else ``()``.
@@ -112,13 +129,7 @@ def openmp_flags(cc: str) -> tuple[str, ...]:
     Probed once per compiler path by test-compiling a one-function shared
     object; memoised for the life of the process.
     """
-    with _openmp_lock:
-        supported = _openmp_support.get(cc)
-    if supported is None:
-        supported = _probe_openmp(cc)
-        with _openmp_lock:
-            _openmp_support[cc] = supported
-    return (OPENMP_FLAG,) if supported else ()
+    return (OPENMP_FLAG,) if _memoised_probe("openmp", cc, _probe_openmp) else ()
 
 
 def _probe_openmp(cc: str) -> bool:

@@ -1,10 +1,8 @@
 """Native compiled-kernel backend.
 
-:class:`NativeEngine` is the sixth backend under the unified ``run_plan``
-scheduler interface: the same shard-loop + accumulate shape as
-:class:`~repro.core.vectorized.VectorizedEngine`, but with the fused hot
-path — stacked gather, occurrence terms, trial-local segment sum/max,
-aggregate clip — executed by the in-repo C kernel
+:class:`NativeEngine` is the vectorized pricer with the fused hot path —
+stacked gather, occurrence terms, trial-local segment sum/max, aggregate
+clip — executed by the in-repo C kernel
 (``core/native/_kernels.c``), compiled on demand and called through ctypes.
 The C kernel replicates NumPy's floating-point evaluation order (pairwise
 summation included), so for ``dtype="float64"`` the backend is
@@ -24,7 +22,7 @@ kernels *by construction* (not by approximation):
 * ``use_aggregate_shortcut=False`` — the cumulative aggregate pass runs
   through :func:`~repro.core.kernels.layer_trial_losses_batch`;
 * ``fused_layers=False`` — the per-layer ablation loop of the vectorized
-  backend (``dtype`` only affects the stacked gather path; the reference
+  pricer (``dtype`` only affects the stacked gather path; the reference
   ablations always compute in float64);
 * no C compiler on the machine — the whole plan runs through the
   vectorized NumPy path, with a one-time warning and
@@ -40,14 +38,12 @@ import warnings
 
 import numpy as np
 
-from repro.core.config import EngineConfig
-from repro.core.kernels import layer_trial_losses_batch
 from repro.core.native.build import NativeBuildError, NativeKernels, load_kernels
 from repro.core.phases import PHASE_EVENT_FETCH, PHASE_LAYER_TERMS
-from repro.core.plan import ExecutionPlan, finalize_plan_result
-from repro.core.results import EngineResult, PartialResult, ResultAccumulator
-from repro.core.vectorized import _per_layer_losses
-from repro.utils.timing import PhaseTimer, Timer
+from repro.core.plan import ExecutionPlan
+from repro.core.scheduler import ShardRun
+from repro.core.vectorized import VectorizedEngine
+from repro.utils.timing import PhaseTimer
 
 __all__ = ["NativeEngine"]
 
@@ -70,17 +66,11 @@ def _warn_fallback_once(reason: str) -> None:
     )
 
 
-class NativeEngine:
+class NativeEngine(VectorizedEngine):
     """C fused-kernel backend with a byte-for-byte NumPy fallback."""
 
     name = "native"
 
-    def __init__(self, config: EngineConfig | None = None) -> None:
-        self.config = config if config is not None else EngineConfig(backend="native")
-
-    # ------------------------------------------------------------------ #
-    # Kernel acquisition
-    # ------------------------------------------------------------------ #
     def _kernels(self) -> tuple[NativeKernels | None, str | None]:
         """The loaded kernel library, or ``(None, reason)`` on fallback.
 
@@ -94,93 +84,51 @@ class NativeEngine:
             _warn_fallback_once(reason)
             return None, reason
 
-    # ------------------------------------------------------------------ #
-    # Plan scheduler
-    # ------------------------------------------------------------------ #
-    def run_plan(self, plan: ExecutionPlan) -> EngineResult:
-        """Execute an :class:`~repro.core.plan.ExecutionPlan`, one pass per shard."""
+    def open(self, plan: ExecutionPlan, timer: PhaseTimer) -> ShardRun:
         config = self.config
-        timer = PhaseTimer(enabled=config.record_phases)
-        wall = Timer().start()
-
         fused = config.fused_layers or not plan.has_layers
-        wants_kernel = fused and config.use_aggregate_shortcut
-        kernels: NativeKernels | None = None
-        fallback_reason: str | None = None
-        if wants_kernel:
-            kernels, fallback_reason = self._kernels()
-        use_kernel = kernels is not None
-
         float32 = config.dtype == "float32" and fused
-        # The NumPy paths consume a float64 stack; under dtype="float32"
-        # they read the quantised values (widened back to f64) so fallback
-        # and ablation runs reproduce the C tier's bits.
-        numpy_stack: np.ndarray | None = None
-        if fused and not use_kernel:
-            numpy_stack = (
-                plan.stack_f32(timer).astype(np.float64)
-                if float32
-                else plan.stack(timer)
-            )
-
-        shards = plan.shard_ranges(plan.n_shards or config.trial_shards)
-        accumulator = ResultAccumulator.for_plan(plan)
-        for trials in shards:
-            if fused:
-                with timer.phase(PHASE_EVENT_FETCH):
-                    event_ids, offsets = plan.yet.trial_window(trials.start, trials.stop)
-                if use_kernel:
-                    stack = plan.stack_f32(timer) if float32 else plan.stack(timer)
-                    vectors = plan.terms
-                    with timer.phase(PHASE_LAYER_TERMS):
-                        losses, max_occ = kernels.fused_rows(
-                            stack,
-                            event_ids,
-                            offsets,
-                            vectors.occurrence_retentions,
-                            vectors.occurrence_limits,
-                            vectors.aggregate_retentions,
-                            vectors.aggregate_limits,
-                            row_map=plan.row_map,
-                            record_max_occurrence=config.record_max_occurrence,
-                            n_threads=config.native_threads,
-                        )
-                else:
-                    losses, max_occ = layer_trial_losses_batch(
-                        (),
-                        event_ids,
-                        offsets,
-                        plan.terms,
-                        use_shortcut=config.use_aggregate_shortcut,
-                        record_max_occurrence=config.record_max_occurrence,
-                        timer=timer,
-                        stack=numpy_stack,
-                        row_map=plan.row_map,
-                    )
-            else:
-                losses, max_occ = _per_layer_losses(plan, trials, config, timer)
-            accumulator.add(PartialResult(trials, losses, max_occ))
-
         details = {
             "fused_layers": fused,
-            "trial_shards": len(shards),
-            "native_kernel": use_kernel,
+            "native_kernel": False,
             "dtype": config.dtype if fused else "float64",
         }
-        if use_kernel:
-            details["native_threads"] = (
-                config.native_threads if config.native_threads > 0 else kernels.max_threads()
-            )
-            details["native_openmp"] = kernels.openmp
-        elif wants_kernel:
-            details["native_fallback"] = True
-            details["native_fallback_reason"] = fallback_reason
-        return finalize_plan_result(
-            plan,
-            self.name,
-            accumulator.year_losses(),
-            accumulator.max_occurrence_losses(),
-            wall.stop(),
-            details,
-            phase_breakdown=timer.breakdown() if config.record_phases else None,
+        kernels: NativeKernels | None = None
+        if fused and config.use_aggregate_shortcut:
+            kernels, fallback_reason = self._kernels()
+            if kernels is None:
+                details["native_fallback"] = True
+                details["native_fallback_reason"] = fallback_reason
+        if kernels is None:
+            # The NumPy paths consume a float64 stack; under dtype="float32"
+            # they read the quantised values (widened back to f64) so
+            # fallback and ablation runs reproduce the C tier's bits.
+            stack = plan.stack_f32(timer).astype(np.float64) if float32 else None
+            return ShardRun(self._numpy_pricer(plan, timer, fused, stack=stack), details)
+
+        details["native_kernel"] = True
+        details["native_threads"] = (
+            config.native_threads if config.native_threads > 0 else kernels.max_threads()
         )
+        details["native_openmp"] = kernels.openmp
+        stack = plan.stack_f32(timer) if float32 else plan.stack(timer)
+        vectors = plan.terms
+
+        def price(trials):
+            with timer.phase(PHASE_EVENT_FETCH):
+                event_ids, offsets = plan.yet.trial_window(trials.start, trials.stop)
+            with timer.phase(PHASE_LAYER_TERMS):
+                return kernels.fused_rows(
+                    stack,
+                    event_ids,
+                    offsets,
+                    vectors.occurrence_retentions,
+                    vectors.occurrence_limits,
+                    vectors.aggregate_retentions,
+                    vectors.aggregate_limits,
+                    row_map=plan.row_map,
+                    record_max_occurrence=config.record_max_occurrence,
+                    n_threads=config.native_threads,
+                )
+
+        return ShardRun(price, details)

@@ -5,21 +5,16 @@ data-parallel computation — trials x layers over a Year Event Table.  The
 plan layer turns that observation into architecture: every engine workload
 (``run``, ``run_many``, ``run_stacked``, replication blocks, portfolio
 sweeps) lowers to the same intermediate representation, an
-:class:`ExecutionPlan` describing tiles over
+:class:`ExecutionPlan` over
 
-* the **trial axis** — contiguous trial blocks of the YET, and
+* the **trial axis** — the trials of the YET, and
 * the **row axis** — stacked term-netted layer loss rows (the layout of
   :func:`~repro.core.kernels.build_layer_loss_stack`).
 
-Backends *schedule* plans instead of reimplementing workloads: the
-vectorized backend executes the single full-size tile, the chunked backend
-streams the trial-flattened events of that tile, the multicore backend maps
-trial blocks over worker processes (publishing the stack and YET columns
-through shared memory so workers attach zero-copy), the simulated GPU
-launches one ``threads_per_block x 1`` tile per simulated CUDA block, and
-the sequential reference iterates the plan's source layers.  Scaling
-features — row deduplication, sharding, streaming — therefore land once, in
-the plan, and apply to every entry point.
+One scheduler (:class:`~repro.core.scheduler.PlanScheduler`) executes every
+plan as a loop over trial shards, and each backend only prices a trial
+range.  Scaling features — row deduplication, sharding, streaming —
+therefore land once, in the plan, and apply to every entry point.
 
 Lowering is the job of :class:`PlanBuilder`:
 
@@ -51,14 +46,13 @@ from repro.core.kernels import build_layer_loss_stack
 from repro.core.results import EngineResult
 from repro.financial.terms import LayerTerms, LayerTermsVectors
 from repro.parallel.device import WorkloadShape
-from repro.parallel.partitioner import Tile, TrialRange, shard_partition, tile_partition
+from repro.parallel.partitioner import TrialRange, shard_partition
 from repro.portfolio.layer import Layer
 from repro.portfolio.program import ReinsuranceProgram
 from repro.utils.timing import PhaseTimer
 from repro.yet.table import YearEventTable
-from repro.ylt.table import YearLossTable
 
-__all__ = ["ExecutionPlan", "PlanBuilder", "PlanSegment", "finalize_plan_result"]
+__all__ = ["ExecutionPlan", "PlanBuilder", "PlanSegment"]
 
 
 @dataclass(frozen=True)
@@ -285,7 +279,7 @@ class ExecutionPlan:
         )
 
     # ------------------------------------------------------------------ #
-    # Stack materialisation & tiling
+    # Stack materialisation
     # ------------------------------------------------------------------ #
     def stack(self, timer: PhaseTimer | None = None) -> np.ndarray:
         """The ``(n_unique_rows, catalog_size)`` term-netted loss stack.
@@ -359,12 +353,6 @@ class ExecutionPlan:
     def cached_stack(self) -> np.ndarray | None:
         """The stack if it has been built/adopted already (``None`` otherwise)."""
         return self._stack
-
-    def tiles(
-        self, trial_block: int | None = None, row_block: int | None = None
-    ) -> List[Tile]:
-        """The plan's iteration space split into (trial x row) tiles."""
-        return tile_partition(self.n_trials, self.n_rows, trial_block, row_block)
 
     # ------------------------------------------------------------------ #
     # Trial sharding
@@ -556,40 +544,3 @@ class PlanBuilder:
             n_shards=n_shards,
         )
 
-
-def finalize_plan_result(
-    plan: ExecutionPlan,
-    backend_name: str,
-    losses: np.ndarray,
-    max_occurrence: np.ndarray | None,
-    wall_seconds: float,
-    details: Mapping[str, Any],
-    *,
-    phase_breakdown=None,
-    modeled: Sequence = (),
-    modeled_seconds: float | None = None,
-) -> EngineResult:
-    """Assemble the :class:`EngineResult` every plan scheduler returns.
-
-    Merges the plan's provenance (source, row counts, dedup factor) into the
-    backend's ``details`` so the one result-assembly path exists here rather
-    than once per backend.
-    """
-    merged = dict(details)
-    merged["plan"] = {
-        "source": plan.source,
-        "n_rows": plan.n_rows,
-        "n_unique_rows": plan.n_unique_rows,
-        "n_segments": len(plan.segments),
-        "trial_range": [plan.trials.start, plan.trials.stop],
-    }
-    return EngineResult(
-        ylt=YearLossTable(losses, plan.row_names, max_occurrence),
-        backend=backend_name,
-        wall_seconds=wall_seconds,
-        workload_shape=plan.workload_shape(),
-        phase_breakdown=phase_breakdown,
-        modeled=tuple(modeled),
-        modeled_seconds=modeled_seconds,
-        details=merged,
-    )

@@ -14,9 +14,9 @@ over trials (its map step); this module supplies the matching *reduce* step:
   squares / max per layer row) that streaming consumers can keep without the
   blocks.
 
-Every backend's plan scheduler is written in shard-loop + accumulate form on
-top of these types, which is what makes ``EngineConfig.trial_shards``,
-``plan.shard(n)`` and the out-of-core
+The one plan scheduler (:mod:`repro.core.scheduler`) is written in
+shard-loop + accumulate form on top of these types, which is what makes
+``EngineConfig.trial_shards``, ``plan.shard(n)`` and the out-of-core
 :meth:`~repro.core.engine.AggregateRiskEngine.run_sharded` path one
 mechanism rather than three.
 """
@@ -145,12 +145,7 @@ class EngineResult:
         )
 
     def with_extra_details(self, **extra: Any) -> "EngineResult":
-        """A copy of this result with ``extra`` merged into ``details``.
-
-        Used by the sequential backend's plan scheduler, which delegates to
-        its reference execution loop and then stamps the plan provenance
-        onto the result.
-        """
+        """A copy of this result with ``extra`` merged into ``details``."""
         details = dict(self.details)
         details.update(extra)
         return replace(self, details=details)

@@ -9,13 +9,9 @@ speedup figures are measured from.
 
 The backend also honours ``EngineConfig.elt_representation`` so the Section
 III-B data-structure discussion (direct access table vs binary search vs
-hashing) can be evaluated on the CPU.
-
-:meth:`SequentialEngine.run_plan` follows the same shard-loop + accumulate
-shape as the optimised backends (trials are analysed one at a time either
-way, so sharding is pure bookkeeping here) — which keeps the reference
-implementation a valid oracle for the sharded paths too: a per-(layer,
-trial) result depends on nothing outside its trial, trivially.
+hashing) can be evaluated on the CPU.  It runs under the same shard loop as
+the optimised backends, which keeps it a valid oracle for the sharded paths
+too: a per-(layer, trial) result depends on nothing outside its trial.
 """
 
 from __future__ import annotations
@@ -24,20 +20,19 @@ import time
 
 import numpy as np
 
-from repro.core.config import EngineConfig
 from repro.core.phases import (
     PHASE_ELT_LOOKUP,
     PHASE_EVENT_FETCH,
     PHASE_FINANCIAL_TERMS,
     PHASE_LAYER_TERMS,
 )
-from repro.core.plan import finalize_plan_result
-from repro.core.results import EngineResult, PartialResult, ResultAccumulator
+from repro.core.plan import ExecutionPlan
+from repro.core.scheduler import PlanScheduler, ShardRun
 from repro.elt.direct_access import DirectAccessTable
 from repro.elt.hashed_table import HashedEventLossTable
 from repro.elt.sorted_table import SortedEventLossTable
 from repro.elt.table import EventLossTable, LossLookup
-from repro.utils.timing import PhaseTimer, Timer
+from repro.utils.timing import PhaseTimer
 from repro.yet.table import YearEventTable
 
 __all__ = ["SequentialEngine", "build_lookup"]
@@ -54,35 +49,23 @@ def build_lookup(elt: EventLossTable, representation: str) -> LossLookup:
     raise ValueError(f"unknown ELT representation {representation!r}")
 
 
-class SequentialEngine:
+class SequentialEngine(PlanScheduler):
     """Pure-Python reference implementation of the aggregate analysis."""
 
     name = "sequential"
 
-    def __init__(self, config: EngineConfig | None = None) -> None:
-        self.config = config if config is not None else EngineConfig(backend="sequential")
+    def open(self, plan: ExecutionPlan, timer: PhaseTimer) -> ShardRun:
+        """Price the plan's source layers trial by trial.
 
-    # ------------------------------------------------------------------ #
-    # Plan scheduler
-    # ------------------------------------------------------------------ #
-    def run_plan(self, plan) -> EngineResult:
-        """Execute an :class:`~repro.core.plan.ExecutionPlan` trial by trial.
-
-        The sequential backend schedules a plan by iterating its source
-        layers through the reference per-(layer, trial) loop — a line-for-
-        line transcription of the paper's basic algorithm.  Synthetic plans
-        (precomputed stack rows without source layers) have no pure-Python
-        form here.
+        Synthetic plans (precomputed stack rows without source layers) have
+        no pure-Python form here.
         """
         if not plan.has_layers:
             raise ValueError(
                 "backend 'sequential' has no stacked execution path; "
-                "use one of the fused backends (vectorized, chunked, multicore)"
+                "use one of the fused backends (vectorized, chunked, multicore, native)"
             )
         config = self.config
-        timer = PhaseTimer(enabled=config.record_phases)
-        wall = Timer().start()
-
         # Preprocessing stage: load the ELTs of every layer into the
         # configured lookup structures (the paper's "data is loaded into local
         # memory" step).  Built once, shared by every shard.
@@ -92,9 +75,7 @@ class SequentialEngine:
         ]
         record_phases = config.record_phases
 
-        shards = plan.shard_ranges(plan.n_shards or config.trial_shards)
-        accumulator = ResultAccumulator.for_plan(plan)
-        for trials in shards:
+        def price(trials):
             losses = np.zeros((plan.n_rows, trials.size), dtype=np.float64)
             max_occ = (
                 np.zeros((plan.n_rows, trials.size), dtype=np.float64)
@@ -112,20 +93,11 @@ class SequentialEngine:
                     losses[layer_index, trial_index - trials.start] = year_loss
                     if max_occ is not None:
                         max_occ[layer_index, trial_index - trials.start] = trial_max
-            accumulator.add(PartialResult(trials, losses, max_occ))
+            return losses, max_occ
 
-        return finalize_plan_result(
-            plan,
-            self.name,
-            accumulator.year_losses(),
-            accumulator.max_occurrence_losses(),
-            wall.stop(),
-            {
-                "elt_representation": config.elt_representation,
-                "fused_layers": False,
-                "trial_shards": len(shards),
-            },
-            phase_breakdown=timer.breakdown() if config.record_phases else None,
+        return ShardRun(
+            price,
+            {"elt_representation": config.elt_representation, "fused_layers": False},
         )
 
     # ------------------------------------------------------------------ #

@@ -9,104 +9,77 @@ layer terms are applied as broadcast expressions over the resulting
 falls back to one kernel call per layer (re-gathering the window against
 each layer's matrix separately).  Either way this is the "make the inner
 loops disappear" translation of the paper's one-thread-per-trial data
-parallelism to NumPy.
-
-:meth:`VectorizedEngine.run_plan` is the scheduler for the unified
-:class:`~repro.core.plan.ExecutionPlan` IR, written — like every backend's —
-in shard-loop + accumulate form: the plan's trial range is split into
-``plan.n_shards or EngineConfig.trial_shards`` disjoint shards, each shard's
-:class:`~repro.core.results.PartialResult` is computed independently, and a
-:class:`~repro.core.results.ResultAccumulator` reassembles the monolithic
-result.  Per-trial reductions are trial-local, so the merge is exact: any
-shard count produces bit-identical output, and ``trial_shards > 1`` bounds
-the per-pass gather to one shard's events.
+parallelism to NumPy.  The shard loop around it is
+:class:`~repro.core.scheduler.PlanScheduler`.
 """
 
 from __future__ import annotations
 
+from typing import Any, Dict
+
 import numpy as np
 
-from repro.core.config import EngineConfig
-from repro.core.kernels import layer_trial_losses, layer_trial_losses_batch
-from repro.core.plan import ExecutionPlan, finalize_plan_result
-from repro.core.results import EngineResult, PartialResult, ResultAccumulator
-from repro.parallel.partitioner import TrialRange
-from repro.utils.timing import PhaseTimer, Timer
+from repro.core.kernels import layer_trial_losses_batch, layer_trial_losses_per_layer
+from repro.core.plan import ExecutionPlan
+from repro.core.scheduler import PlanScheduler, Price, ShardRun
+from repro.utils.timing import PhaseTimer
 
 __all__ = ["VectorizedEngine"]
 
 
-class VectorizedEngine:
+class VectorizedEngine(PlanScheduler):
     """NumPy data-parallel backend operating on whole trial shards at once."""
 
     name = "vectorized"
 
-    def __init__(self, config: EngineConfig | None = None) -> None:
-        self.config = config if config is not None else EngineConfig(backend="vectorized")
+    def _mode(self, plan: ExecutionPlan) -> Dict[str, Any]:
+        """The run's path as its ``details``: fused unless the ablation is asked for."""
+        return {"fused_layers": self.config.fused_layers or not plan.has_layers}
 
-    # ------------------------------------------------------------------ #
-    # Plan scheduler
-    # ------------------------------------------------------------------ #
-    def run_plan(self, plan: ExecutionPlan) -> EngineResult:
-        """Execute an :class:`~repro.core.plan.ExecutionPlan`, one pass per shard."""
-        config = self.config
-        timer = PhaseTimer(enabled=config.record_phases)
-        wall = Timer().start()
-
-        fused = config.fused_layers or not plan.has_layers
-        shards = plan.shard_ranges(plan.n_shards or config.trial_shards)
-        accumulator = ResultAccumulator.for_plan(plan)
-        for trials in shards:
-            if fused:
-                event_ids, offsets = plan.yet.trial_window(trials.start, trials.stop)
-                losses, max_occ = layer_trial_losses_batch(
-                    (),
-                    event_ids,
-                    offsets,
-                    plan.terms,
-                    use_shortcut=config.use_aggregate_shortcut,
-                    record_max_occurrence=config.record_max_occurrence,
-                    timer=timer,
-                    stack=plan.stack(timer),
-                    row_map=plan.row_map,
-                )
-            else:
-                losses, max_occ = _per_layer_losses(plan, trials, config, timer)
-            accumulator.add(PartialResult(trials, losses, max_occ))
-
-        return finalize_plan_result(
-            plan,
-            self.name,
-            accumulator.year_losses(),
-            accumulator.max_occurrence_losses(),
-            wall.stop(),
-            {"fused_layers": fused, "trial_shards": len(shards)},
-            phase_breakdown=timer.breakdown() if config.record_phases else None,
+    def open(self, plan: ExecutionPlan, timer: PhaseTimer) -> ShardRun:
+        details = self._mode(plan)
+        price = self._numpy_pricer(
+            plan, timer, details["fused_layers"], details.get("chunk_events")
         )
+        return ShardRun(price, details)
 
+    def _numpy_pricer(
+        self,
+        plan: ExecutionPlan,
+        timer: PhaseTimer,
+        fused: bool,
+        chunk_events: int | None = None,
+        stack: np.ndarray | None = None,
+    ) -> Price:
+        """Price trial ranges with the shared NumPy kernels.
 
-def _per_layer_losses(
-    plan: ExecutionPlan, trials: TrialRange, config: EngineConfig, timer: PhaseTimer
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The ``fused_layers=False`` ablation: one kernel call per plan row."""
-    event_ids, offsets = plan.yet.trial_window(trials.start, trials.stop)
-    losses = np.zeros((plan.n_rows, trials.size), dtype=np.float64)
-    max_occ = (
-        np.zeros((plan.n_rows, trials.size), dtype=np.float64)
-        if config.record_max_occurrence
-        else None
-    )
-    for row, layer in enumerate(plan.layers):
-        year_losses, trial_max = layer_trial_losses(
-            layer.loss_matrix(),
-            event_ids,
-            offsets,
-            layer.terms,
+        ``fused`` gathers every row from ``stack`` (the plan's stack by
+        default) at once; otherwise each layer is priced by its own kernel
+        call.  ``chunk_events`` streams either path through event chunks.
+        """
+        config = self.config
+        options = dict(
             use_shortcut=config.use_aggregate_shortcut,
             record_max_occurrence=config.record_max_occurrence,
             timer=timer,
+            chunk_events=chunk_events,
         )
-        losses[row] = year_losses
-        if max_occ is not None and trial_max is not None:
-            max_occ[row] = trial_max
-    return losses, max_occ
+        if fused:
+            stack = plan.stack(timer) if stack is None else stack
+
+            def price(trials):
+                event_ids, offsets = plan.yet.trial_window(trials.start, trials.stop)
+                return layer_trial_losses_batch(
+                    (), event_ids, offsets, plan.terms,
+                    stack=stack, row_map=plan.row_map, **options,
+                )
+        else:
+            matrices = [layer.loss_matrix() for layer in plan.layers]
+            terms = [layer.terms for layer in plan.layers]
+
+            def price(trials):
+                event_ids, offsets = plan.yet.trial_window(trials.start, trials.stop)
+                return layer_trial_losses_per_layer(
+                    matrices, event_ids, offsets, terms, **options
+                )
+        return price

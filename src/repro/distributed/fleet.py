@@ -270,7 +270,7 @@ class FleetEngine:
         program = ReinsuranceProgram.wrap(program)
         prog_digest = program_digest(program)
         config_fields = encode_config(self.config)
-        yet_ref, yet_bytes_factory, n_trials, mean_events = self._describe_source(source)
+        yet_ref, yet_bytes_factory, n_trials = self._describe_source(source)
 
         count = n_shards or max(self.config.trial_shards, 2 * len(self._states))
         shard_queue: "deque[TrialRange]" = deque(shard_partition(n_trials, count))
@@ -335,17 +335,11 @@ class FleetEngine:
                 f"(workers: {', '.join(self.worker_addresses)})"
             )
 
-        shape = WorkloadShape(
-            n_trials=n_trials,
-            events_per_trial=max(mean_events, 1e-9),
-            n_elts=max(int(round(program.mean_elts_per_layer)), 1),
-            n_layers=program.n_layers,
-        )
         dead = [s.client.address for s in self._states if not s.alive]
         return accumulator.finalize(
             self.config.backend,
             wall_seconds=wall.stop(),
-            workload_shape=shape,
+            workload_shape=WorkloadShape.of_program(program, source),
             details={
                 "fleet": {
                     "workers": self.worker_addresses,
@@ -364,16 +358,14 @@ class FleetEngine:
     # Internals
     # ------------------------------------------------------------------ #
     def _describe_source(self, source):
-        """``(ref, inline-bytes factory, n_trials, mean events/trial)``."""
+        """``(ref, inline-bytes factory, n_trials)``."""
         if isinstance(source, YearEventTable):
             digest = yet_digest(source)
             ref = {"kind": InMemoryYetStore.kind, "digest": digest}
-            return ref, (lambda: yet_to_bytes(source)), source.n_trials, (
-                source.mean_events_per_trial
-            )
+            return ref, (lambda: yet_to_bytes(source)), source.n_trials
         if isinstance(source, YetShardReader):
             ref = {"kind": LocalDirYetStore.kind, "path": str(source.path.resolve())}
-            return ref, None, source.n_trials, source.mean_events_per_trial
+            return ref, None, source.n_trials
         raise TypeError(
             "source must be a YearEventTable or a YetShardReader, got "
             f"{type(source).__name__}"

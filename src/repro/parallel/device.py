@@ -141,6 +141,20 @@ class WorkloadShape:
         if self.events_per_trial <= 0:
             raise ValueError("events_per_trial must be positive")
 
+    @classmethod
+    def of_program(cls, program, source) -> "WorkloadShape":
+        """The shape of pricing ``program`` over a trial ``source``.
+
+        ``source`` is anything with ``n_trials`` and ``mean_events_per_trial``
+        (a YET or a shard reader); the means are clamped to valid values.
+        """
+        return cls(
+            n_trials=source.n_trials,
+            events_per_trial=max(source.mean_events_per_trial, 1e-9),
+            n_elts=max(int(round(program.mean_elts_per_layer)), 1),
+            n_layers=program.n_layers,
+        )
+
     @property
     def total_events(self) -> float:
         """Event occurrences across all trials (one layer)."""

@@ -58,6 +58,7 @@ from repro.core.engine import AggregateRiskEngine
 from repro.core.plan import ExecutionPlan, PlanBuilder
 from repro.core.results import EngineResult, PartialResult, ResultAccumulator
 from repro.financial.terms import LayerTerms
+from repro.parallel.device import WorkloadShape
 from repro.parallel.partitioner import TrialRange
 from repro.portfolio.layer import Layer
 from repro.portfolio.pricing import ProgramQuote, price_program
@@ -580,7 +581,7 @@ class RiskService:
             result = match.accumulator.finalize(
                 self.engine.backend_name,
                 wall_seconds=0.0,
-                workload_shape=self._workload_shape_for(program, yet),
+                workload_shape=WorkloadShape.of_program(program, yet),
                 details={"result_cache": {"status": "exact"}},
             )
             info = {"status": "exact", "repriced_trials": 0}
@@ -757,7 +758,7 @@ class RiskService:
         result = accumulator.finalize(
             self.engine.backend_name,
             wall_seconds=execute_seconds,
-            workload_shape=self._workload_shape_for(program, yet),
+            workload_shape=WorkloadShape.of_program(program, yet),
             details={"result_cache": {"status": "rows", "repriced_rows": changed}},
         )
         cache.store(
@@ -775,16 +776,6 @@ class RiskService:
         }
         return self._result_cache_response(
             request, program, result, info, lower_seconds, execute_seconds
-        )
-
-    def _workload_shape_for(self, program: ReinsuranceProgram, yet: YearEventTable):
-        from repro.parallel.device import WorkloadShape
-
-        return WorkloadShape(
-            n_trials=yet.n_trials,
-            events_per_trial=max(yet.mean_events_per_trial, 1e-9),
-            n_elts=max(int(round(program.mean_elts_per_layer)), 1),
-            n_layers=program.n_layers,
         )
 
     def _result_cache_response(

@@ -134,12 +134,7 @@ class AggregateWorkload:
     @property
     def shape(self) -> WorkloadShape:
         """Shape of the workload as seen by the engine."""
-        return WorkloadShape(
-            n_trials=self.yet.n_trials,
-            events_per_trial=max(self.yet.mean_events_per_trial, 1e-9),
-            n_elts=max(int(round(self.program.mean_elts_per_layer)), 1),
-            n_layers=self.program.n_layers,
-        )
+        return WorkloadShape.of_program(self.program, self.yet)
 
     def summary(self) -> str:
         """One-line description used by benchmark output."""

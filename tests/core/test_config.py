@@ -49,10 +49,6 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match="start_method"):
             EngineConfig(start_method="teleport")
 
-    def test_legacy_execution_rejected_with_migration_hint(self):
-        with pytest.raises(ValueError, match="has been removed"):
-            EngineConfig(execution="legacy")
-
     def test_with_backend(self):
         config = EngineConfig(backend="vectorized", n_workers=4)
         updated = config.with_backend("multicore")

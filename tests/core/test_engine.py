@@ -79,21 +79,20 @@ class TestCompareBackends:
     def test_disagreement_detected(self, tiny_workload, monkeypatch):
         # Force the chunked backend to produce corrupted results and make sure
         # the comparison catches it.
-        from repro.core import chunked as chunked_module
+        original_open = ChunkedEngine.open
 
-        original_perlayer = chunked_module.layer_trial_losses_chunked
-        original_batch = chunked_module.layer_trial_losses_batch
+        def corrupted_open(self, plan, timer):
+            run = original_open(self, plan, timer)
+            price = run.price
 
-        def corrupted_perlayer(*args, **kwargs):
-            year, occ = original_perlayer(*args, **kwargs)
-            return year * 1.5, occ
+            def corrupted(trials):
+                year, occ = price(trials)
+                return year * 1.5, occ
 
-        def corrupted_batch(*args, **kwargs):
-            year, occ = original_batch(*args, **kwargs)
-            return year * 1.5, occ
+            run.price = corrupted
+            return run
 
-        monkeypatch.setattr(chunked_module, "layer_trial_losses_chunked", corrupted_perlayer)
-        monkeypatch.setattr(chunked_module, "layer_trial_losses_batch", corrupted_batch)
+        monkeypatch.setattr(ChunkedEngine, "open", corrupted_open)
         with pytest.raises(AssertionError, match="disagrees"):
             AggregateRiskEngine.compare_backends(
                 tiny_workload.program, tiny_workload.yet, backends=("vectorized", "chunked")

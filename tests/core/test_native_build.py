@@ -8,6 +8,7 @@ is covered by ``test_native_backend.py`` and the golden conformance suites.
 """
 
 import shutil
+import subprocess
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.core.native.build import (
     ensure_built,
     find_compiler,
     library_path,
+    load_kernels,
     native_status,
     openmp_flags,
 )
@@ -101,6 +103,23 @@ class TestBuildCache:
     def test_missing_compiler_raises_build_error(self, no_compiler):
         with pytest.raises(NativeBuildError, match="fall back"):
             ensure_built()
+
+    @requires_compiler
+    def test_warm_load_spawns_no_subprocess(self, tmp_path, monkeypatch):
+        # The toolchain probes (cc --version, the OpenMP test build) are
+        # memoised per compiler: a warm load only re-hashes the source.
+        monkeypatch.setenv(build.CACHE_ENV, str(tmp_path))
+        first = load_kernels()
+        spawned = []
+        real_run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            spawned.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(build.subprocess, "run", counting_run)
+        assert load_kernels() is first
+        assert spawned == []
 
 
 class TestOpenMPProbe:

@@ -7,7 +7,6 @@ from repro.core.config import EngineConfig
 from repro.core.engine import AggregateRiskEngine
 from repro.core.plan import ExecutionPlan, PlanBuilder, PlanSegment
 from repro.financial.terms import LayerTerms, LayerTermsVectors
-from repro.parallel.partitioner import tile_partition
 
 
 class TestPlanBuilderFromProgram:
@@ -169,26 +168,6 @@ class TestExecutionPlanValidation:
             )
 
 
-class TestTiles:
-    def test_single_tile_by_default(self, tiny_workload):
-        plan = PlanBuilder.from_program(tiny_workload.program, tiny_workload.yet)
-        tiles = plan.tiles()
-        assert len(tiles) == 1
-        assert tiles[0].n_trials == plan.n_trials
-        assert tiles[0].n_rows == plan.n_rows
-
-    def test_tile_partition_covers_space(self):
-        tiles = tile_partition(10, 6, trial_block=4, row_block=4)
-        assert len(tiles) == 3 * 2
-        assert sum(t.n_trials * t.n_rows for t in tiles) == 10 * 6
-
-    def test_tiles_row_block_major(self):
-        tiles = tile_partition(4, 4, trial_block=2, row_block=2)
-        assert [(t.rows.start, t.trials.start) for t in tiles] == [
-            (0, 0), (0, 2), (2, 0), (2, 2)
-        ]
-
-
 class TestSplitResult:
     def test_roundtrip_matches_solo_runs(self, tiny_workload):
         engine = AggregateRiskEngine(EngineConfig())
@@ -218,14 +197,6 @@ class TestPlanDetails:
         )
         assert result.details["plan"]["source"] == "program"
         assert result.details["plan"]["n_rows"] == tiny_workload.program.n_layers
-
-    def test_legacy_execution_mode_removed(self):
-        with pytest.raises(ValueError, match="execution='legacy' has been removed"):
-            EngineConfig(execution="legacy")
-
-    def test_unknown_execution_mode_rejected(self):
-        with pytest.raises(ValueError, match="execution"):
-            EngineConfig(execution="warp-drive")
 
     def test_unknown_shared_memory_mode_rejected(self):
         with pytest.raises(ValueError, match="shared_memory"):

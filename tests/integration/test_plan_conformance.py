@@ -19,8 +19,7 @@ plan pipeline — on seeded end-to-end workloads, these must hold exactly
 * ``run_stacked`` equals the direct fused-kernel evaluation of the same
   stack;
 * the telescoped-shortcut vs cumulative aggregate-terms ablation agrees at
-  1e-9 relative tolerance (different reduction order, same maths);
-* ``execution="legacy"`` is rejected with a migration hint.
+  1e-9 relative tolerance (different reduction order, same maths).
 """
 
 import numpy as np
@@ -308,9 +307,3 @@ def test_uncertainty_batched_path_unchanged_by_plan_lowering(workload):
         np.testing.assert_allclose(
             batched[name].values, replay[name].values, rtol=1e-9, atol=0.0
         )
-
-
-def test_legacy_execution_mode_removed():
-    """The deprecation window closed: legacy must fail with a migration hint."""
-    with pytest.raises(ValueError, match="has been removed"):
-        EngineConfig(execution="legacy")

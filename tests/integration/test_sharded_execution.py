@@ -187,6 +187,21 @@ def test_shard_plans_share_one_stack(workload):
     assert stacks == {id(plan.stack())}
 
 
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+@pytest.mark.parametrize("fused", (True, False), ids=["fused", "per-layer"])
+def test_reader_path_bit_identical(workload, backend, fused, tmp_path):
+    """run_sharded over a YetShardReader == in-memory run, on every backend."""
+    engine = AggregateRiskEngine(
+        EngineConfig(backend=backend, n_workers=N_WORKERS, fused_layers=fused)
+    )
+    monolithic = engine.run(workload.program, workload.yet)
+    store = save_yet_store(workload.yet, tmp_path / "yet_store")
+    with YetShardReader(store) as reader:
+        sharded = engine.run_sharded(workload.program, reader, n_shards=5)
+    _assert_identical(sharded.ylt, monolithic.ylt)
+    assert sharded.details["sharded"]["n_shards"] == 5
+
+
 class TestOutOfCore:
     """Pricing a stored YET larger than the shard budget, memory bounded."""
 
