@@ -38,8 +38,8 @@ Every backend executes as a loop over disjoint *trial shards* whose partial
 results merge exactly (``EngineConfig(trial_shards=8)``, ``plan.shard(n)``
 + :class:`~repro.core.results.ResultAccumulator`, a request's ``shards``
 field, or ``are run --shards 8``); tables larger than RAM are priced
-out-of-core through :class:`~repro.yet.io.YetShardReader` with resident
-memory bounded by one shard.
+out-of-core through :class:`~repro.yet.io.YetShardReader`, a trial source
+like the in-memory table, with one trial window resident per priced shard.
 """
 
 from repro.core.config import EngineConfig

@@ -54,10 +54,11 @@ whose :class:`~repro.core.results.PartialResult` blocks merge exactly
 (``EngineConfig(trial_shards=8)``, or ``plan.shard(n)`` merged through a
 :class:`~repro.core.results.ResultAccumulator`); the merged result is
 bit-identical to the monolithic run for any shard count.
-:meth:`AggregateRiskEngine.run_sharded` extends the same loop out-of-core:
-pointed at a :class:`~repro.yet.io.YetShardReader`, it prices a stored YET
-larger than RAM with resident memory bounded by one shard plus the
-accumulated year-loss blocks.
+A stored YET is a trial source too: ``run``, ``run_many`` and
+:meth:`AggregateRiskEngine.run_sharded` accept a
+:class:`~repro.yet.io.YetShardReader`, and the same loop prices a table
+larger than RAM with one trial window resident per priced shard or block
+plus the accumulated year-loss blocks.
 
 The facade also provides :meth:`AggregateRiskEngine.compare_backends`, which
 runs the same workload through several backends (optionally through both the
@@ -68,6 +69,7 @@ guarantee.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence
 
 import numpy as np
@@ -78,15 +80,13 @@ from repro.core.gpu_sim import GPUSimulatedEngine
 from repro.core.multicore import MulticoreEngine
 from repro.core.native_backend import NativeEngine
 from repro.core.plan import ExecutionPlan, PlanBuilder
-from repro.core.results import EngineResult, ResultAccumulator
+from repro.core.results import EngineResult
 from repro.core.sequential import SequentialEngine
 from repro.core.vectorized import VectorizedEngine
 from repro.financial.terms import LayerTerms, LayerTermsVectors
-from repro.parallel.device import WorkloadShape
 from repro.portfolio.layer import Layer
 from repro.portfolio.program import ReinsuranceProgram
-from repro.utils.timing import Timer
-from repro.yet.io import shard_count_for_budget
+from repro.yet.io import YetShardReader, shard_count_for_budget
 from repro.yet.table import YearEventTable
 
 __all__ = ["AggregateRiskEngine", "available_backends"]
@@ -136,8 +136,10 @@ class AggregateRiskEngine:
         """
         return self._backend.run_plan(plan)
 
-    def run(self, program: ReinsuranceProgram | Layer, yet: YearEventTable) -> EngineResult:
-        """Run the aggregate analysis and return the full result object."""
+    def run(
+        self, program: ReinsuranceProgram | Layer, yet: YearEventTable | YetShardReader
+    ) -> EngineResult:
+        """Run the aggregate analysis over a YET or a stored YET's reader."""
         return self.run_plan(PlanBuilder.from_program(program, yet))
 
     def year_loss_table(self, program: ReinsuranceProgram | Layer, yet: YearEventTable):
@@ -147,76 +149,40 @@ class AggregateRiskEngine:
     def run_sharded(
         self,
         program: ReinsuranceProgram | Layer,
-        source,
+        source: YearEventTable | YetShardReader,
         n_shards: int = 0,
         max_shard_bytes: int | None = None,
     ) -> EngineResult:
         """Price a program trial shard by trial shard and merge exactly.
 
-        ``source`` is either an in-memory
-        :class:`~repro.yet.table.YearEventTable` — equivalent to ``run`` with
-        ``n_shards`` trial shards, and bit-identical to it — or an
-        out-of-core :class:`~repro.yet.io.YetShardReader`, whose event
-        columns are memory-mapped and materialised one shard at a time: the
-        resident working set is one shard's YET plus the fused loss stack
-        plus the accumulated year-loss blocks, however large the stored
-        table is.  ``max_shard_bytes`` (readers only) picks the shard count
-        from a per-shard byte budget instead.
+        ``source`` is an in-memory :class:`~repro.yet.table.YearEventTable`
+        or an out-of-core :class:`~repro.yet.io.YetShardReader`, whose event
+        columns are memory-mapped and copied one trial window per priced
+        shard: the resident working set is one shard's window plus the
+        fused loss stack plus the accumulated year-loss blocks, however
+        large the stored table is.  Either way the program lowers to one
+        plan over the source with ``n_shards`` trial shards (or as many as
+        keep one shard's event columns within ``max_shard_bytes``; ``0`` =
+        ``EngineConfig.trial_shards``), executed by :meth:`run_plan`.
 
         Per-trial reductions are trial-local, so the merged result is
         bit-identical to a monolithic run of the same table for *any* shard
         count — the engine-level form of the paper's YET partitioning.
         """
-        program = ReinsuranceProgram.wrap(program)
-        config = self.config
-        if isinstance(source, YearEventTable):
-            if max_shard_bytes is not None:
-                n_shards = shard_count_for_budget(source.event_bytes, max_shard_bytes)
-            plan = PlanBuilder.from_program(
-                program, source, n_shards=n_shards or config.trial_shards
-            )
-            return self.run_plan(plan)
-
-        if not hasattr(source, "iter_shards"):
+        if not isinstance(source, (YearEventTable, YetShardReader)):
             raise TypeError(
-                "source must be a YearEventTable or a shard reader exposing "
-                f"iter_shards(), got {type(source).__name__}"
+                "source must be a YearEventTable or a YetShardReader, "
+                f"got {type(source).__name__}"
             )
         if max_shard_bytes is not None:
-            n_shards = source.shard_count_for_budget(max_shard_bytes)
-        count = max(n_shards or config.trial_shards, 1)
-
-        wall = Timer().start()
-        accumulator = ResultAccumulator(
-            program.n_layers, source.n_trials, row_names=program.layer_names
+            n_shards = shard_count_for_budget(source.event_bytes, max_shard_bytes)
+        result = self.run_plan(
+            PlanBuilder.from_program(
+                program, source, n_shards=n_shards or self.config.trial_shards
+            )
         )
-        shared_stack: np.ndarray | None = None
-        shards_run = 0
-        for trials, shard_yet in source.iter_shards(count):
-            shard_plan = PlanBuilder.from_program(program, shard_yet)
-            if shared_stack is not None:
-                shard_plan.adopt_stack(shared_stack)
-            result = self.run_plan(shard_plan)
-            if shared_stack is None:
-                # Fused backends build the stack pricing the first shard;
-                # later shard plans adopt it instead of rebuilding (the
-                # reference backends never build one — nothing to share).
-                shared_stack = shard_plan.cached_stack
-            accumulator.add_result(result, trials)
-            shards_run += 1
-
-        return accumulator.finalize(
-            self.backend_name,
-            wall_seconds=wall.stop(),
-            workload_shape=WorkloadShape.of_program(program, source),
-            details={
-                "sharded": {"n_shards": shards_run, "source": "reader"},
-                "merged_shards": {
-                    "n_shards": shards_run,
-                    "n_trials": source.n_trials,
-                },
-            },
-        )
+        sharded = {"n_shards": result.details["trial_shards"]}
+        return replace(result, details={**result.details, "sharded": sharded})
 
     def run_distributed(
         self,
@@ -283,7 +249,7 @@ class AggregateRiskEngine:
     def run_many(
         self,
         programs: Sequence[ReinsuranceProgram | Layer],
-        yet: YearEventTable,
+        yet: YearEventTable | YetShardReader,
         dedupe: bool = True,
     ) -> List[EngineResult]:
         """Price many programs over one YET in a single engine invocation.

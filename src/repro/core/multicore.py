@@ -14,6 +14,10 @@ trials.  How the read-only inputs reach the workers depends on the transport:
   transport remains available as the ``EngineConfig.shared_memory="off"``
   baseline).
 
+A stored YET's :class:`~repro.yet.io.YetShardReader` is never published or
+pickled as columns: it travels as its store path, each worker maps the
+store itself, and every block copies only its own trial window.
+
 ``EngineConfig.n_workers`` plays the role of the paper's "number of cores"
 (Fig. 3a) and ``EngineConfig.oversubscription`` with dynamic scheduling plays
 the role of "threads per core" (Fig. 3b): the trial range is over-decomposed
@@ -56,6 +60,8 @@ from repro.parallel.executor import ParallelConfig, TrialBlockExecutor
 from repro.parallel.partitioner import TrialRange
 from repro.parallel.shared_memory import SharedArrayDescriptor, SharedWorkspace
 from repro.utils.timing import PhaseTimer
+from repro.yet.io import YetShardReader
+from repro.yet.table import YearEventTable
 
 __all__ = ["MulticoreEngine", "MulticoreContext"]
 
@@ -66,8 +72,11 @@ class MulticoreContext:
 
     Attributes
     ----------
-    event_ids, trial_offsets:
-        The YET's flattened arrays.
+    yet:
+        The plan's trial source.  An in-memory table is inherited, pickled
+        or rebuilt around shared-memory views; a
+        :class:`~repro.yet.io.YetShardReader` travels as its store path and
+        each worker maps the file itself.
     terms:
         Structure-of-arrays layer terms with ``stack``; one
         :class:`LayerTerms` per layer with ``matrices``.
@@ -88,8 +97,7 @@ class MulticoreContext:
         when the arrays were inherited or pickled.
     """
 
-    event_ids: np.ndarray
-    trial_offsets: np.ndarray
+    yet: YearEventTable | YetShardReader | None
     terms: LayerTermsVectors | Sequence[LayerTerms]
     use_shortcut: bool
     record_max_occurrence: bool
@@ -102,28 +110,35 @@ class MulticoreContext:
 class _SharedPlanContext:
     """Picklable worker initializer: attach the plan's shared arrays.
 
-    The parent publishes the fused stack and the YET columns as shared
-    segments; each worker calls this factory once (in the pool initializer)
-    to attach zero-copy views and fill them into ``template``, a
-    :class:`MulticoreContext` without its big arrays.  Only the compact
-    descriptors and the small term vectors travel through the pickle
-    channel.
+    The parent publishes the fused stack — and an in-memory YET's columns —
+    as shared segments; each worker calls this factory once (in the pool
+    initializer) to attach zero-copy views and fill them into ``template``,
+    a :class:`MulticoreContext` without its big arrays.  Only the compact
+    descriptors, the small term vectors and (for a reader) the store path
+    travel through the pickle channel.
     """
 
     def __init__(
-        self, descriptors: Mapping[str, SharedArrayDescriptor], template: MulticoreContext
+        self,
+        descriptors: Mapping[str, SharedArrayDescriptor],
+        template: MulticoreContext,
+        catalog_size: int,
     ) -> None:
         self.descriptors = dict(descriptors)
         self.template = template
+        self.catalog_size = catalog_size
 
     def __call__(self) -> MulticoreContext:
         attachments = SharedWorkspace.attach_all(self.descriptors)
+        yet = self.template.yet
+        if yet is None:
+            yet = YearEventTable.from_validated(
+                attachments["event_ids"].array,
+                attachments["trial_offsets"].array,
+                self.catalog_size,
+            )
         return replace(
-            self.template,
-            event_ids=attachments["event_ids"].array,
-            trial_offsets=attachments["trial_offsets"].array,
-            stack=attachments["stack"].array,
-            attachments=attachments,
+            self.template, yet=yet, stack=attachments["stack"].array, attachments=attachments
         )
 
 
@@ -133,10 +148,7 @@ def _analyse_block(context: MulticoreContext, block: TrialRange) -> tuple[int, n
     Returns ``(start_trial, losses, max_occurrence)`` where ``losses`` has
     shape ``(n_rows, block_size)``.
     """
-    lo = int(context.trial_offsets[block.start])
-    hi = int(context.trial_offsets[block.stop])
-    event_ids = context.event_ids[lo:hi]
-    offsets = context.trial_offsets[block.start : block.stop + 1] - lo
+    event_ids, offsets = context.yet.trial_window(block.start, block.stop)
     options = dict(
         use_shortcut=context.use_shortcut,
         record_max_occurrence=context.record_max_occurrence,
@@ -154,11 +166,15 @@ def _analyse_block(context: MulticoreContext, block: TrialRange) -> tuple[int, n
 
 
 def _publish(plan: ExecutionPlan, stack: np.ndarray) -> SharedWorkspace:
-    """A shared-memory workspace holding the stack and the YET columns."""
+    """A shared-memory workspace holding the stack and an in-memory YET's columns.
+
+    A reader's columns are never published: each worker maps the store.
+    """
     workspace = SharedWorkspace()
     workspace.add("stack", stack)
-    workspace.add("event_ids", plan.yet.event_ids)
-    workspace.add("trial_offsets", plan.yet.trial_offsets)
+    if isinstance(plan.yet, YearEventTable):
+        workspace.add("event_ids", plan.yet.event_ids)
+        workspace.add("trial_offsets", plan.yet.trial_offsets)
     return workspace
 
 
@@ -304,10 +320,12 @@ class MulticoreEngine(PlanScheduler):
             record_max_occurrence=config.record_max_occurrence,
         )
         yet = plan.yet
+        if isinstance(yet, YearEventTable):
+            # Workers read event ids only: the timestamps stay behind.
+            yet = YearEventTable.from_validated(yet.event_ids, yet.trial_offsets, yet.catalog_size)
         if fused:
             context = MulticoreContext(
-                yet.event_ids,
-                yet.trial_offsets,
+                yet,
                 terms=plan.terms,
                 stack=plan.stack(timer),
                 row_map=plan.row_map,
@@ -315,8 +333,7 @@ class MulticoreEngine(PlanScheduler):
             )
         else:
             context = MulticoreContext(
-                yet.event_ids,
-                yet.trial_offsets,
+                yet,
                 terms=[layer.terms for layer in plan.layers],
                 matrices=[layer.loss_matrix() for layer in plan.layers],
                 **options,
@@ -331,7 +348,8 @@ class MulticoreEngine(PlanScheduler):
         )
         factory = _SharedPlanContext(
             workspace.descriptors(),
-            replace(context, event_ids=None, trial_offsets=None, stack=None),
+            replace(context, yet=None if isinstance(yet, YearEventTable) else yet, stack=None),
+            yet.catalog_size,
         )
         return _PoolRun(
             TrialBlockExecutor(parallel_config, context_factory=factory),

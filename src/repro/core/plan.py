@@ -50,6 +50,7 @@ from repro.parallel.partitioner import TrialRange, shard_partition
 from repro.portfolio.layer import Layer
 from repro.portfolio.program import ReinsuranceProgram
 from repro.utils.timing import PhaseTimer
+from repro.yet.io import YetShardReader
 from repro.yet.table import YearEventTable
 
 __all__ = ["ExecutionPlan", "PlanBuilder", "PlanSegment"]
@@ -86,7 +87,11 @@ class ExecutionPlan:
     Parameters
     ----------
     yet:
-        The Year Event Table every row is priced over.
+        The trial source every row is priced over: an in-memory
+        :class:`~repro.yet.table.YearEventTable` or a stored YET's
+        :class:`~repro.yet.io.YetShardReader`.  Pricers read trials only
+        through ``yet.trial_window(start, stop)``, so over a reader one
+        window is resident per priced shard or block.
     terms:
         Per-row layer terms (``n_rows`` entries).
     layers:
@@ -127,7 +132,7 @@ class ExecutionPlan:
 
     def __init__(
         self,
-        yet: YearEventTable,
+        yet: YearEventTable | YetShardReader,
         terms: Sequence[LayerTerms] | LayerTermsVectors,
         *,
         layers: Sequence[Layer] | None = None,
@@ -331,10 +336,9 @@ class ExecutionPlan:
     def adopt_stack(self, stack: np.ndarray) -> None:
         """Install a precomputed stack (validated like the constructor's).
 
-        Lets repeated lowerings over the *same* rows — above all the
-        per-shard plans of :meth:`~repro.core.engine.AggregateRiskEngine.run_sharded`
-        — share one stack instead of rebuilding ``n_rows x catalog_size``
-        doubles per shard.
+        Lets a new lowering over the *same* rows — the service's plan for an
+        extended YET, priced as an append delta — share a warm plan's stack
+        instead of rebuilding ``n_rows x catalog_size`` doubles.
         """
         stack = np.ascontiguousarray(stack, dtype=np.float64)
         if stack.ndim != 2:
@@ -438,7 +442,7 @@ class PlanBuilder:
     @staticmethod
     def from_program(
         program: ReinsuranceProgram | Layer,
-        yet: YearEventTable,
+        yet: YearEventTable | YetShardReader,
         n_shards: int = 0,
     ) -> ExecutionPlan:
         """Lower ``run``: one row per layer of one program, one segment.
@@ -461,7 +465,7 @@ class PlanBuilder:
     @staticmethod
     def from_programs(
         programs: Sequence[ReinsuranceProgram | Layer],
-        yet: YearEventTable,
+        yet: YearEventTable | YetShardReader,
         dedupe: bool = True,
         source: str = "batch",
         n_shards: int = 0,
@@ -530,7 +534,7 @@ class PlanBuilder:
     def from_stack(
         stack: np.ndarray,
         terms: Sequence[LayerTerms] | LayerTermsVectors,
-        yet: YearEventTable,
+        yet: YearEventTable | YetShardReader,
         row_names: Sequence[str] | None = None,
         n_shards: int = 0,
     ) -> ExecutionPlan:

@@ -33,7 +33,6 @@ from repro.elt.hashed_table import HashedEventLossTable
 from repro.elt.sorted_table import SortedEventLossTable
 from repro.elt.table import EventLossTable, LossLookup
 from repro.utils.timing import PhaseTimer
-from repro.yet.table import YearEventTable
 
 __all__ = ["SequentialEngine", "build_lookup"]
 
@@ -82,17 +81,22 @@ class SequentialEngine(PlanScheduler):
                 if config.record_max_occurrence
                 else None
             )
+            # The shard's window is read once; each trial's events are then
+            # a slice of it between consecutive local offsets.
+            with timer.phase(PHASE_EVENT_FETCH):
+                event_ids, offsets = plan.yet.trial_window(trials.start, trials.stop)
             for layer_index, layer in enumerate(plan.layers):      # line 1: for all a in L
                 lookups = layer_lookups[layer_index]
                 elt_terms = [elt.terms for elt in layer.elts]
                 terms = layer.terms
-                for trial_index in trials:                          # line 2: for all b in YET
+                for local in range(trials.size):                    # line 2: for all b in YET
                     year_loss, trial_max = self._analyse_trial(
-                        plan.yet, trial_index, lookups, elt_terms, terms, timer, record_phases
+                        event_ids[offsets[local] : offsets[local + 1]],
+                        lookups, elt_terms, terms, timer, record_phases,
                     )
-                    losses[layer_index, trial_index - trials.start] = year_loss
+                    losses[layer_index, local] = year_loss
                     if max_occ is not None:
-                        max_occ[layer_index, trial_index - trials.start] = trial_max
+                        max_occ[layer_index, local] = trial_max
             return losses, max_occ
 
         return ShardRun(
@@ -105,8 +109,7 @@ class SequentialEngine(PlanScheduler):
     # ------------------------------------------------------------------ #
     @staticmethod
     def _analyse_trial(
-        yet: YearEventTable,
-        trial_index: int,
+        events: np.ndarray,
         lookups: list[LossLookup],
         elt_terms: list,
         terms,
@@ -117,7 +120,6 @@ class SequentialEngine(PlanScheduler):
         # --- event fetch (line 4: for all d in Et in b) ------------------- #
         if record_phases:
             t0 = time.perf_counter()
-        events = yet.trial(trial_index)
         event_list = [int(e) for e in events]
         if record_phases:
             timer.add(PHASE_EVENT_FETCH, time.perf_counter() - t0)

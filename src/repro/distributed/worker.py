@@ -1,13 +1,15 @@
 """The fleet worker: ``are worker`` — a warm shard-pricing socket server.
 
 One worker process hosts one warm engine per requested configuration plus a
-digest-keyed artifact cache (programs, inline-shipped YETs, fused loss
-stacks, shard-restricted plans).  The first ``run_shard`` request for a
+digest-keyed artifact cache (programs, inline-shipped YETs, opened trial
+sources, and one plan per workload).  The first ``run_shard`` request for a
 workload ships the program (and, without a shared filesystem, the YET)
 once; every later request — from the same analysis or the next one — sends
 only digests, so a warm worker goes straight from the control line to the
 kernel pass, exactly like :class:`~repro.service.cache.PlanCache` does
-in-process.
+in-process.  A shard is the cached plan restricted to its trial range: the
+restricted plan shares the workload's fused stack and reads only its own
+trial window from the source.
 
 The server is deliberately *threaded-blocking*, not asyncio: a worker's job
 is to saturate its cores with one kernel pass at a time (executions
@@ -27,13 +29,13 @@ import os
 import pickle
 import socket
 import threading
-from collections import OrderedDict
+import weakref
 from dataclasses import replace
 from typing import Any, Mapping, Tuple
 
 from repro.core.config import EngineConfig
 from repro.core.engine import AggregateRiskEngine
-from repro.core.plan import PlanBuilder
+from repro.core.plan import ExecutionPlan, PlanBuilder
 from repro.core.results import PartialResult
 from repro.parallel.partitioner import TrialRange
 from repro.service.cache import CacheStats, PlanCache
@@ -49,9 +51,6 @@ from repro.distributed.protocol import (
 )
 
 __all__ = ["FleetWorker", "WorkerProcess"]
-
-#: Fused stacks retained per worker ((program digest, config digest) keyed).
-_MAX_STACKS = 8
 
 
 class FleetWorker:
@@ -72,7 +71,8 @@ class FleetWorker:
         Provenance label stamped into every produced partial's ``details``
         (and therefore into accumulator overlap diagnostics).
     cache_size:
-        Capacity of the digest-keyed shard-plan cache.
+        Capacity of the plan cache: one plan per (program digest, YET
+        reference, config digest), shared by every shard of that workload.
     """
 
     def __init__(
@@ -93,7 +93,10 @@ class FleetWorker:
         self._yets = InMemoryYetStore()
         self._sources: dict[tuple, Any] = {}
         self._engines: dict[str, AggregateRiskEngine] = {}
-        self._stacks: "OrderedDict[tuple, Any]" = OrderedDict()
+        # Trial ranges each cached plan has priced (dies with the plan).
+        self._priced: "weakref.WeakKeyDictionary[ExecutionPlan, set]" = (
+            weakref.WeakKeyDictionary()
+        )
         self._exec_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._shutdown = threading.Event()
@@ -304,7 +307,7 @@ class FleetWorker:
         return {"ok": True, "stored": digest}
 
     def _source_for(self, ref: Mapping[str, Any]):
-        """A (cached) shard source for a store reference.
+        """A (cached) trial source for a store reference.
 
         Sources are cached per reference so a local-dir store is mmap'd
         once per worker, not once per shard — concurrent workers each hold
@@ -351,30 +354,21 @@ class FleetWorker:
         source = self._source_for(yet_ref)
 
         yet_key = yet_ref.get("digest") or yet_ref.get("path")
-        plan_key = (prog_digest, yet_key, cfg_digest, start, stop)
-        stack_key = (prog_digest, cfg_digest)
-
-        def build():
-            shard_yet = source.shard(trials)
-            plan = PlanBuilder.from_program(program, shard_yet)
-            with self._state_lock:
-                stack = self._stacks.get(stack_key)
-            if stack is not None:
-                # Adopt the fused stack built pricing an earlier shard of
-                # this workload — the warm-worker analogue of run_sharded's
-                # shared-stack loop.
-                plan.adopt_stack(stack)
-            return plan
-
-        plan, was_hit = self.plan_cache.get_or_build(plan_key, build)
+        plan, plan_hit = self.plan_cache.get_or_build(
+            (prog_digest, yet_key, cfg_digest),
+            lambda: PlanBuilder.from_program(program, source),
+        )
+        # The restricted child validates the range and shares the parent's
+        # stack, so the workload's stack is built once per worker.
+        shard_plan = plan.restrict(trials)
+        with self._state_lock:
+            priced = self._priced.setdefault(plan, set())
+            # A hit means this worker priced this very shard of the workload
+            # before; the plan cache's own counters count workload reuse.
+            was_hit = plan_hit and (start, stop) in priced
+            priced.add((start, stop))
         with self._exec_lock:
-            result = engine.run_plan(plan)
-        if plan.cached_stack is not None:
-            with self._state_lock:
-                if stack_key not in self._stacks:
-                    self._stacks[stack_key] = plan.cached_stack
-                    while len(self._stacks) > _MAX_STACKS:
-                        self._stacks.popitem(last=False)
+            result = engine.run_plan(shard_plan)
 
         partial = PartialResult.from_result(result, trials=trials)
         partial = replace(

@@ -12,8 +12,8 @@ years, which is why the industry distributes YETs as data artefacts.
 * :mod:`repro.yet.simulator` — :class:`YETSimulator`, which samples trials
   from a catalog's occurrence rates and seasonality,
 * :mod:`repro.yet.io` — a simple ``.npz`` serialization format, plus the
-  memory-mapped store-directory format :class:`YetShardReader` prices
-  out-of-core, one trial shard resident at a time.
+  memory-mapped store-directory format whose :class:`YetShardReader` is a
+  trial source for any plan, one trial window resident at a time.
 """
 
 from repro.yet.io import YetShardReader, load_yet, save_yet, save_yet_store

@@ -9,11 +9,13 @@ Two on-disk forms are supported:
   whole table into RAM, round-trips exactly;
 * a **store directory** (:func:`save_yet_store`) of raw ``.npy`` members plus
   a tiny JSON manifest, which :class:`YetShardReader` opens with
-  memory-mapped event columns.  The reader materialises one *trial shard* at
-  a time: only the shard's slice of the event ids (and timestamps) is copied
-  into resident memory, so a table far larger than RAM can be priced shard
-  by shard — the out-of-core leg of the engine's
-  :meth:`~repro.core.engine.AggregateRiskEngine.run_sharded` path.
+  memory-mapped event columns.  The reader is a *trial source* like an
+  in-memory table: an :class:`~repro.core.plan.ExecutionPlan` over it reads
+  trials only through :meth:`YetShardReader.trial_window`, which copies just
+  that window's event ids (and timestamps) into resident memory.  Every
+  backend therefore prices a table far larger than RAM one window per shard
+  or block — ``run``, ``run_many`` and
+  :meth:`~repro.core.engine.AggregateRiskEngine.run_sharded` accept a reader.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Iterator, List, Tuple
 import numpy as np
 
 from repro.parallel.partitioner import TrialRange, shard_partition
-from repro.yet.table import YearEventTable
+from repro.yet.table import YearEventTable, check_trial_range
 
 __all__ = [
     "save_yet",
@@ -169,7 +171,8 @@ class YetShardReader:
     :meth:`shard` copies exactly one shard's columns into a fresh in-memory
     :class:`~repro.yet.table.YearEventTable`.  Total resident memory over a
     full sweep is therefore bounded by one shard (plus whatever the caller
-    accumulates), not by the table.
+    accumulates), not by the table.  A reader pickles as its store path, so
+    a worker process maps the files itself.
 
     Use as a context manager, or :meth:`close` explicitly; iterating shards
     after ``close`` raises.
@@ -249,14 +252,7 @@ class YetShardReader:
         :class:`~repro.parallel.partitioner.TrialRange`.
         """
         event_ids = self._require_open()
-        if not 0 <= trials.start <= trials.stop <= self.n_trials:
-            # stop == n_trials is valid (the range is trials [start, stop),
-            # so stop may equal the trial count) — report the bound as
-            # inclusive, not as [0, n_trials).
-            raise IndexError(
-                f"shard range [{trials.start}, {trials.stop}) outside "
-                f"0 <= start <= stop <= {self.n_trials}"
-            )
+        check_trial_range(trials.start, trials.stop, self.n_trials)
         lo = int(self.trial_offsets[trials.start])
         hi = int(self.trial_offsets[trials.stop])
         offsets = self.trial_offsets[trials.start : trials.stop + 1] - lo
@@ -273,6 +269,19 @@ class YetShardReader:
             self.catalog_size,
             timestamps,
         )
+
+    def trial_window(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(event_ids, local_offsets)`` of trials ``[start, stop)``.
+
+        The same pair as :meth:`YearEventTable.trial_window`, so every pricer
+        reads a stored YET like an in-memory one; the window is copied (and
+        validated) through :meth:`shard`, so only it becomes resident.
+        """
+        # Checked first so an inverted range raises the table's IndexError,
+        # not TrialRange's ValueError.
+        check_trial_range(start, stop, self.n_trials)
+        window = self.shard(TrialRange(start, stop))
+        return window.event_ids, window.trial_offsets
 
     def shard_ranges(self, n_shards: int) -> List[TrialRange]:
         """At most ``n_shards`` contiguous non-empty trial ranges covering the table."""
@@ -302,6 +311,12 @@ class YetShardReader:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    def __reduce__(self):
+        # A reader crosses a process boundary as its store path: the
+        # receiving process maps the files itself instead of unpickling
+        # the event columns.
+        return (YetShardReader, (str(self.path),))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -8,23 +8,23 @@ reach.  This module defines the store contract and two backends:
   store directories, one per key.  The shared-filesystem deployment: the
   coordinator ``put``\\ s once, every worker on the same filesystem (or NFS
   mount) memory-maps the store through :class:`~repro.yet.io.YetShardReader`
-  and materialises only the shards it prices.
+  and copies only the trial windows it prices.
 * :class:`InMemoryYetStore` — an object-store-style mapping of key to table,
   fed either with live tables or with the :func:`~repro.yet.io.yet_to_bytes`
   wire blobs the coordinator ships when no filesystem is shared.  This is
   also the worker-side artifact cache: the first request for a digest ships
   the bytes, every later request resolves the digest against the cache.
 
-Both backends hand out **shard sources** — objects with the
-:class:`~repro.yet.io.YetShardReader` shard interface (``n_trials``,
-``shard(trials)``, ``shard_ranges``, ``iter_shards``, context-manager
-lifecycle) — so the engine's shard loop and the worker protocol are
-indifferent to where the trial columns actually live.  ``shard`` bounds
-errors follow the reader's ``0 <= start <= stop <= n`` contract exactly.
+Both backends hand out **trial sources**: the local-dir store opens a
+:class:`~repro.yet.io.YetShardReader`, the in-memory store returns the
+table itself.  An :class:`~repro.core.plan.ExecutionPlan` prices either
+through its ``trial_window`` (both enforce the same
+``0 <= start <= stop <= n`` bounds contract), so the engine and the worker
+protocol are indifferent to where the trial columns actually live.
 
 Store *references* are small JSON-compatible dicts (``{"kind": ...}``)
 that travel on the control channel; :func:`resolve_yet_ref` turns one back
-into a shard source on the worker.
+into a trial source on the worker.
 """
 
 from __future__ import annotations
@@ -32,23 +32,15 @@ from __future__ import annotations
 import os
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Any, Iterator, List, Mapping, Tuple
+from typing import Any, List, Mapping
 
-from repro.parallel.partitioner import TrialRange, shard_partition
-from repro.yet.io import (
-    YetShardReader,
-    save_yet_store,
-    shard_count_for_budget,
-    yet_from_bytes,
-    yet_to_bytes,
-)
+from repro.yet.io import YetShardReader, save_yet_store, yet_from_bytes, yet_to_bytes
 from repro.yet.table import YearEventTable
 
 __all__ = [
     "YetStore",
     "LocalDirYetStore",
     "InMemoryYetStore",
-    "TableShardSource",
     "resolve_yet_ref",
 ]
 
@@ -58,85 +50,6 @@ def _validate_key(key: str) -> str:
     if not key or any(ch in key for ch in ("/", "\\", "\x00")) or key in (".", ".."):
         raise ValueError(f"invalid YET store key {key!r}")
     return key
-
-
-class TableShardSource:
-    """The :class:`~repro.yet.io.YetShardReader` shard interface over an
-    in-memory :class:`~repro.yet.table.YearEventTable`.
-
-    What :meth:`InMemoryYetStore.open` hands out: the engine's shard loop
-    and the worker protocol see the same surface whether the columns come
-    from a memory-mapped store directory or a resident table.  ``shard``
-    enforces the reader's ``0 <= start <= stop <= n`` bounds contract with
-    the same :class:`IndexError` shape.
-    """
-
-    def __init__(self, yet: YearEventTable) -> None:
-        self._yet: YearEventTable | None = yet
-        self.catalog_size = yet.catalog_size
-
-    # ------------------------------------------------------------------ #
-    # Shape accessors (mirror YetShardReader)
-    # ------------------------------------------------------------------ #
-    def _require_open(self) -> YearEventTable:
-        if self._yet is None:
-            raise ValueError("table shard source is closed")
-        return self._yet
-
-    @property
-    def n_trials(self) -> int:
-        return self._require_open().n_trials
-
-    @property
-    def n_occurrences(self) -> int:
-        return self._require_open().n_occurrences
-
-    @property
-    def mean_events_per_trial(self) -> float:
-        return self._require_open().mean_events_per_trial
-
-    @property
-    def event_bytes(self) -> int:
-        return self._require_open().event_bytes
-
-    def shard_count_for_budget(self, max_shard_bytes: int) -> int:
-        return shard_count_for_budget(self.event_bytes, max_shard_bytes)
-
-    # ------------------------------------------------------------------ #
-    # Shard access
-    # ------------------------------------------------------------------ #
-    def shard(self, trials: TrialRange) -> YearEventTable:
-        """Materialise one trial shard (locally indexed, like the reader)."""
-        yet = self._require_open()
-        if not 0 <= trials.start <= trials.stop <= yet.n_trials:
-            raise IndexError(
-                f"shard range [{trials.start}, {trials.stop}) outside "
-                f"0 <= start <= stop <= {yet.n_trials}"
-            )
-        return yet.slice_trials(trials.start, trials.stop)
-
-    def shard_ranges(self, n_shards: int) -> List[TrialRange]:
-        return shard_partition(self.n_trials, n_shards)
-
-    def iter_shards(self, n_shards: int) -> Iterator[Tuple[TrialRange, YearEventTable]]:
-        for trials in self.shard_ranges(n_shards):
-            yield trials, self.shard(trials)
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        self._yet = None
-
-    def __enter__(self) -> "TableShardSource":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "closed" if self._yet is None else f"n_trials={self._yet.n_trials}"
-        return f"TableShardSource({state})"
 
 
 class YetStore(ABC):
@@ -153,7 +66,7 @@ class YetStore(ABC):
 
     @abstractmethod
     def open(self, key: str):
-        """A shard source over the stored table (``KeyError`` if absent)."""
+        """A trial source over the stored table (``KeyError`` if absent)."""
 
     @abstractmethod
     def contains(self, key: str) -> bool:
@@ -229,8 +142,8 @@ class InMemoryYetStore(YetStore):
         """The stored table in wire form (``KeyError`` if absent)."""
         return yet_to_bytes(self._tables[_validate_key(key)])
 
-    def open(self, key: str) -> TableShardSource:
-        return TableShardSource(self._tables[_validate_key(key)])
+    def open(self, key: str) -> YearEventTable:
+        return self._tables[_validate_key(key)]
 
     def contains(self, key: str) -> bool:
         return key in self._tables
@@ -246,7 +159,7 @@ class InMemoryYetStore(YetStore):
 
 
 def resolve_yet_ref(ref: Mapping[str, Any], inline_store: InMemoryYetStore | None = None):
-    """Turn a store reference back into a shard source.
+    """Turn a store reference back into a trial source (a table or a reader).
 
     ``{"kind": "local_dir", "path": ...}`` opens a
     :class:`~repro.yet.io.YetShardReader` on the referenced store directory;

@@ -18,7 +18,19 @@ import numpy as np
 
 from repro.utils.arrays import segment_lengths, validate_offsets
 
-__all__ = ["YearEventTable"]
+__all__ = ["YearEventTable", "check_trial_range"]
+
+
+def check_trial_range(start: int, stop: int, n_trials: int) -> None:
+    """The bounds contract every trial source enforces on ``[start, stop)``.
+
+    ``stop == n_trials`` is valid (the range is half-open), so the bound is
+    reported as inclusive.
+    """
+    if not 0 <= start <= stop <= n_trials:
+        raise IndexError(
+            f"shard range [{start}, {stop}) outside 0 <= start <= stop <= {n_trials}"
+        )
 
 
 class YearEventTable:
@@ -171,10 +183,7 @@ class YearEventTable:
         reductions are trial-local, so pricing a window produces exactly the
         columns a whole-table run would produce for those trials.
         """
-        if not 0 <= start <= stop <= self.n_trials:
-            raise IndexError(
-                f"invalid trial window [{start}, {stop}) for {self.n_trials} trials"
-            )
+        check_trial_range(start, stop, self.n_trials)
         lo = int(self.trial_offsets[start])
         return self.event_ids[lo : int(self.trial_offsets[stop])], (
             self.trial_offsets[start : stop + 1] - lo
@@ -217,3 +226,19 @@ class YearEventTable:
                 [np.asarray(t, dtype=np.float64) for t in timestamps]
             ) if timestamps and sum(lengths) else np.zeros(0, dtype=np.float64)
         return cls(flat_events, offsets, catalog_size, flat_times)
+
+    @classmethod
+    def from_validated(
+        cls, event_ids: np.ndarray, trial_offsets: np.ndarray, catalog_size: int
+    ) -> "YearEventTable":
+        """Wrap event columns a table has already validated (no copy, no re-check).
+
+        A multicore worker uses this for the columns it attaches from shared
+        memory: they were validated when the publishing table was built, just
+        as unpickling restores a table without re-validating it.  The result
+        carries no timestamps; pricing reads event ids only.
+        """
+        table = cls.__new__(cls)
+        table.event_ids, table.trial_offsets = event_ids, trial_offsets
+        table.catalog_size, table.timestamps = int(catalog_size), None
+        return table

@@ -125,6 +125,22 @@ class TestRunShard:
         assert again.details["plan_cache_hit"] is True
         assert np.array_equal(first.losses, again.losses)
 
+    def test_out_of_range_shard_is_a_structured_error(self, client, tiny_workload):
+        program, yet = tiny_workload.program, tiny_workload.yet
+        digest = program_digest(program)
+        ydigest = yet_digest(yet)
+        client.put_program(digest, pickle.dumps(program))
+        client.put_yet(ydigest, yet_to_bytes(yet))
+
+        ref = {"kind": "inline", "digest": ydigest}
+        beyond = TrialRange(yet.n_trials - 4, yet.n_trials + 4)
+        with pytest.raises(WorkerError, match=rf"\[{beyond.start}, {beyond.stop}\)"):
+            client.run_shard(digest, ref, encode_config(CONFIG), beyond)
+        # The rejection leaves the connection serving.
+        partial = client.run_shard(digest, ref, encode_config(CONFIG), TrialRange(0, 8))
+        mono = AggregateRiskEngine(CONFIG).run(program, yet)
+        assert np.array_equal(partial.losses, mono.ylt.losses[:, 0:8])
+
     def test_unknown_yet_ref_kind_rejected(self, client, tiny_workload):
         digest = program_digest(tiny_workload.program)
         client.put_program(digest, pickle.dumps(tiny_workload.program))

@@ -24,6 +24,7 @@ from repro.core.config import BACKEND_NAMES, EngineConfig
 from repro.core.engine import AggregateRiskEngine
 from repro.core.plan import PlanBuilder
 from repro.core.results import ResultAccumulator
+from repro.parallel.shared_memory import SharedWorkspace
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
 from repro.yet.io import YetShardReader, save_yet_store
 
@@ -200,6 +201,40 @@ def test_reader_path_bit_identical(workload, backend, fused, tmp_path):
         sharded = engine.run_sharded(workload.program, reader, n_shards=5)
     _assert_identical(sharded.ylt, monolithic.ylt)
     assert sharded.details["sharded"]["n_shards"] == 5
+
+
+@pytest.mark.parametrize("shared_memory", ("on", "off"))
+def test_multicore_spawn_over_reader(workload, shared_memory, tmp_path, monkeypatch):
+    """Spawned multicore workers price a reader like the in-memory table.
+
+    A reader reaches the workers as its store path (each one maps the
+    files itself), so under ``shared_memory="on"`` only the fused stack is
+    published — never an event column.
+    """
+    engine = AggregateRiskEngine(
+        EngineConfig(
+            backend="multicore",
+            n_workers=N_WORKERS,
+            start_method="spawn",
+            shared_memory=shared_memory,
+        )
+    )
+    in_memory = engine.run(workload.program, workload.yet)
+    store = save_yet_store(workload.yet, tmp_path / "yet_store")
+
+    published = []
+    add = SharedWorkspace.add
+
+    def spy(self, name, source):
+        published.append(name)
+        return add(self, name, source)
+
+    monkeypatch.setattr(SharedWorkspace, "add", spy)
+    with YetShardReader(store) as reader:
+        sharded = engine.run_sharded(workload.program, reader, n_shards=3)
+    _assert_identical(sharded.ylt, in_memory.ylt)
+    assert published == (["stack"] if shared_memory == "on" else [])
+    assert sharded.details["shared_memory"] is (shared_memory == "on")
 
 
 class TestOutOfCore:

@@ -89,12 +89,41 @@ class TestLayerTermsProperties:
     @given(data=st.data(), losses=losses_arrays, terms=layer_terms)
     @settings(max_examples=150, deadline=None)
     def test_shortcut_equals_cumulative_pass(self, data, losses, terms):
+        """The telescoped shortcut equals the cumulative pass up to float64 error.
+
+        Take trial t with n_t events.  Let S_t be the sum of |loss| over
+        *every* event up to the end of trial t, R the aggregate retention,
+        eps = 2**-52 and u = eps / 2 the unit roundoff.
+
+        * The cumulative pass takes within-trial prefixes as differences of
+          one global running sum.  Each of the trial's n_t additions rounds
+          at the running sum's magnitude, at most S_t, so every prefix is
+          off by at most (n_t + 1)·u·S_t.
+        * Subtracting R rounds by at most u·(S_t + R); clipping is
+          1-Lipschitz and adds nothing.
+        * The clipped prefixes are non-decreasing, so the n_t differences
+          sum in absolute value to at most S_t.  Differencing and summing
+          them adds at most n_t·u·S_t.
+        * The shortcut sums the trial alone (off by at most n_t·u·S_t) and
+          subtracts R (off by at most u·(S_t + R)).
+
+        Together, to first order in u::
+
+            |shortcut_t - cumulative_t| <= (3·n_t + 3)·u·S_t + 2·u·R
+
+        The test asserts 4·(n_t + 1)·eps·(S_t + R), more than twice that,
+        which covers the second-order terms.  S_t must include the earlier
+        trials: a 1.0 loss after 2e11 of earlier losses rounds by ~1e-5 in
+        the cumulative pass, far beyond any trial-local bound.
+        """
         offsets = offsets_for(losses, data)
         shortcut = aggregate_terms_shortcut(losses, offsets, terms)
         cumulative = apply_aggregate_terms_cumulative(losses, offsets, terms)
-        # atol must absorb cancellation when the aggregate retention is
-        # consumed by losses ~1e9 larger than the surviving recovery.
-        np.testing.assert_allclose(shortcut, cumulative, rtol=1e-7, atol=1e-4)
+        n_events = np.diff(offsets)
+        prefix = np.concatenate(([0.0], np.cumsum(np.abs(losses))))[offsets[1:]]
+        eps = np.finfo(np.float64).eps
+        bound = 4 * (n_events + 1) * eps * (prefix + terms.aggregate_retention)
+        assert np.all(np.abs(shortcut - cumulative) <= bound)
 
     @given(data=st.data(), losses=losses_arrays, terms=layer_terms)
     @settings(max_examples=100, deadline=None)

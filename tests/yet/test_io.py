@@ -129,3 +129,40 @@ class TestYetStore:
         assert not np.shares_memory(shard.event_ids, reader._event_ids)
         reader.close()
         np.testing.assert_array_equal(shard.event_ids, original.event_ids)
+
+    def test_trial_window_matches_the_table(self, tmp_path):
+        """The reader's window is the table's window, copied off the mapping."""
+        from repro.yet.io import YetShardReader, save_yet_store
+
+        original = make_yet(True)
+        store = save_yet_store(original, tmp_path / "store")
+        with YetShardReader(store) as reader:
+            for start, stop in [(0, 3), (1, 2), (2, 3), (3, 3)]:
+                ids, offsets = reader.trial_window(start, stop)
+                expected_ids, expected_offsets = original.trial_window(start, stop)
+                np.testing.assert_array_equal(ids, expected_ids)
+                np.testing.assert_array_equal(offsets, expected_offsets)
+                assert not np.shares_memory(ids, reader._event_ids)
+            for start, stop in [(0, reader.n_trials + 1), (2, 1), (-1, 1)]:
+                with pytest.raises(IndexError, match="outside") as from_reader:
+                    reader.trial_window(start, stop)
+                with pytest.raises(IndexError) as from_table:
+                    original.trial_window(start, stop)
+                assert str(from_reader.value) == str(from_table.value)
+
+    def test_reader_pickles_as_its_store_path(self, tmp_path):
+        """A reader crosses a process boundary as a path, not as columns."""
+        import pickle
+
+        from repro.yet.io import YetShardReader, save_yet_store
+
+        original = make_yet(True)
+        store = save_yet_store(original, tmp_path / "store")
+        with YetShardReader(store) as reader:
+            payload = pickle.dumps(reader)
+        assert original.event_ids.tobytes() not in payload
+        with pickle.loads(payload) as clone:
+            assert clone.path == reader.path
+            ids, _ = clone.trial_window(0, clone.n_trials)
+        np.testing.assert_array_equal(ids, original.event_ids)
+

@@ -1,8 +1,9 @@
 """YET store backends and concurrent shard readers.
 
 Covers the pluggable get/put-by-key stores behind the distributed fleet's
-YET references, the in-memory shard source's bounds contract (which must
-match :meth:`YetShardReader.shard` character for character), and the
+YET references, the trial sources' shared bounds contract (the in-memory
+table's ``trial_window`` must match :meth:`YetShardReader.trial_window` and
+:meth:`YetShardReader.shard` character for character), and the
 out-of-core claim that matters to a fleet: two *processes* can memory-map
 the same store and price disjoint shards concurrently.
 """
@@ -20,12 +21,7 @@ from repro.parallel.partitioner import TrialRange
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.presets import tiny_spec
 from repro.yet.io import YetShardReader, save_yet_store, yet_from_bytes, yet_to_bytes
-from repro.yet.stores import (
-    InMemoryYetStore,
-    LocalDirYetStore,
-    TableShardSource,
-    resolve_yet_ref,
-)
+from repro.yet.stores import InMemoryYetStore, LocalDirYetStore, resolve_yet_ref
 from repro.yet.table import YearEventTable
 
 
@@ -35,51 +31,23 @@ def small_yet():
     )
 
 
-class TestTableShardSource:
-    def test_shape_accessors_match_the_table(self):
-        yet = small_yet()
-        source = TableShardSource(yet)
-        assert source.n_trials == yet.n_trials
-        assert source.n_occurrences == yet.n_occurrences
-        assert source.mean_events_per_trial == yet.mean_events_per_trial
-        assert source.event_bytes == yet.event_bytes
-
-    def test_shard_slices_the_table(self):
-        yet = small_yet()
-        shard = TableShardSource(yet).shard(TrialRange(1, 4))
-        expected = yet.slice_trials(1, 4)
-        assert shard.n_trials == 3
-        assert np.array_equal(shard.event_ids, expected.event_ids)
-        assert np.array_equal(shard.trial_offsets, expected.trial_offsets)
-
-    # (TrialRange itself rejects negative or inverted ranges at
-    # construction, so only in-shape ranges beyond the table reach shard.)
-    @pytest.mark.parametrize("start,stop", [(0, 6), (5, 6), (6, 6)], ids=str)
-    def test_bounds_contract_matches_the_reader(self, tmp_path, start, stop):
-        # The store-backed source and the mmap reader must reject a bad
-        # range with the *identical* message — callers switch between them
-        # by topology, not by error handling.
-        yet = small_yet()
-        source = TableShardSource(yet)
-        with pytest.raises(IndexError) as from_source:
-            source.shard(TrialRange(start, stop))
-        with YetShardReader(save_yet_store(yet, tmp_path / "s")) as reader:
-            with pytest.raises(IndexError) as from_reader:
-                reader.shard(TrialRange(start, stop))
-        assert str(from_source.value) == str(from_reader.value)
-        assert f"0 <= start <= stop <= {yet.n_trials}" in str(from_source.value)
-
-    def test_iter_shards_covers_the_table(self):
-        source = TableShardSource(small_yet())
-        ranges = [trials for trials, _ in source.iter_shards(3)]
-        assert ranges[0].start == 0
-        assert ranges[-1].stop == source.n_trials
-
-    def test_closed_source_rejects_shards(self):
-        source = TableShardSource(small_yet())
-        source.close()
-        with pytest.raises(ValueError, match="closed"):
-            source.shard(TrialRange(0, 1))
+# (TrialRange itself rejects negative or inverted ranges at construction,
+# so only in-shape ranges beyond the table reach the bounds check.)
+@pytest.mark.parametrize("start,stop", [(0, 6), (5, 6), (6, 6)], ids=str)
+def test_bounds_contract_matches_the_reader(tmp_path, start, stop):
+    # The in-memory table and the mmap reader are interchangeable trial
+    # sources: both must reject a bad window with the *identical* message —
+    # callers switch between them by topology, not by error handling.
+    yet = small_yet()
+    with pytest.raises(IndexError) as from_table:
+        yet.trial_window(start, stop)
+    with YetShardReader(save_yet_store(yet, tmp_path / "s")) as reader:
+        with pytest.raises(IndexError) as from_window:
+            reader.trial_window(start, stop)
+        with pytest.raises(IndexError) as from_shard:
+            reader.shard(TrialRange(start, stop))
+    assert str(from_table.value) == str(from_window.value) == str(from_shard.value)
+    assert f"0 <= start <= stop <= {yet.n_trials}" in str(from_table.value)
 
 
 class TestLocalDirYetStore:
@@ -126,8 +94,8 @@ class TestInMemoryYetStore:
         assert "d1" in store and "d2" not in store
         ref = store.ref("d1")
         assert ref == {"kind": "inline", "digest": "d1"}
-        with store.open("d1") as source:
-            assert source.n_trials == yet.n_trials
+        source = store.open("d1")
+        assert source.n_trials == yet.n_trials
 
     def test_bytes_round_trip(self):
         store = InMemoryYetStore()
