@@ -195,14 +195,16 @@ class AggregateRiskEngine:
     ) -> EngineResult:
         """Price a program across a fleet of socket workers; exact merge.
 
-        The fleet form of :meth:`run_sharded`: the trial domain is cut into
-        disjoint shards on a work-stealing queue, each worker executes its
-        shards remotely under this engine's plan-relevant config (shipped
-        with every request), and the streamed
-        :class:`~repro.core.results.PartialResult` blocks merge into one
-        accumulator as they arrive.  The result is **bit-identical** to a
-        monolithic :meth:`run` on every backend; a worker that times out or
-        dies has its shards retried once and then reassigned to survivors.
+        The fleet form of :meth:`run_sharded`: a
+        :class:`~repro.distributed.fleet.FleetEngine` lowers the program and
+        runs the plan through the same ``run_plan`` loop as every backend,
+        with the workers as its executor.  The shards go on a work-stealing
+        queue, each worker prices its shards remotely under this engine's
+        plan-relevant config (shipped with every request), and the streamed
+        :class:`~repro.core.results.PartialResult` blocks merge as they
+        arrive.  The result is **bit-identical** to a monolithic :meth:`run`
+        on every backend; a worker that times out is retried once, and a
+        dead worker's shard is requeued for the survivors.
 
         ``workers`` are ``"host:port"`` addresses of ``are worker``
         processes.  ``source`` is an in-memory YET (shipped once per

@@ -19,7 +19,8 @@ Each backend is a *pricer*: a subclass whose :meth:`PlanScheduler.open`
 does the per-run setup (build the stack, load the C kernels, publish shared
 memory) and returns a :class:`ShardRun` that prices one trial range.
 :meth:`ShardRun.map` is the inline executor; the multicore backend overrides
-it with the process pool that maps trial blocks in parallel.
+it with the process pool that maps trial blocks in parallel, and the fleet
+(:mod:`repro.distributed.fleet`) with its socket workers.
 """
 
 from __future__ import annotations

@@ -1,28 +1,31 @@
-"""The fleet coordinator: shard queue out, PartialResult stream in.
+"""The fleet coordinator: a ``run_plan`` executor over socket workers.
 
-:class:`FleetEngine` drives a set of :class:`~repro.distributed.worker.FleetWorker`
-processes through one analysis.  The trial domain is partitioned into
-disjoint shards on a shared **work-stealing queue**: one coordinator thread
-per worker pulls the next shard, sends a ``run_shard`` control line, and
-folds the streamed :class:`~repro.core.results.PartialResult` straight into
-one shared :class:`~repro.core.results.ResultAccumulator` as it arrives —
-merge overlaps compute; there is no barrier, and a fast worker simply
-prices more shards than a slow one.
+:class:`FleetEngine` is a :class:`~repro.core.scheduler.PlanScheduler` like
+the six local backends: :meth:`FleetEngine.run` lowers the program to an
+:class:`~repro.core.plan.ExecutionPlan` and calls ``run_plan``, which cuts
+the shards, merges the partials and assembles the result.  Only the mapping
+of shards onto compute differs: the fleet's :class:`ShardRun` executor puts
+the shards on a shared **work-stealing queue**, and one coordinator thread
+per :class:`~repro.distributed.worker.FleetWorker` pulls the next shard,
+sends a ``run_shard`` control line and hands the streamed
+:class:`~repro.core.results.PartialResult` to the scheduler's accumulator
+as it arrives.  A fast worker simply prices more shards than a slow one.
 
-Failure semantics (the part a fleet actually needs):
+Failure semantics:
 
 * **timeout + one retry** — a request that times out (or whose connection
   drops) is retried once against the same worker over a fresh connection;
-* **death → reassignment** — a worker that fails its retry is marked dead
-  and its shard goes back on the queue for the survivors; any ranges still
-  uncovered after the threads drain (the race where the queue emptied
-  before the death was noticed) are recovered explicitly from
-  ``ResultAccumulator.missing_ranges()`` and priced on surviving workers;
+* **death → requeue** — a worker that fails its retry is marked dead and
+  its shard goes back on the queue.  A survivor leaves only once the queue
+  is empty *and* no shard is in flight, so a shard requeued after the
+  queue drained is still picked up;
+* **errors surface** — a structured worker error is re-raised to the
+  caller as :class:`~repro.distributed.protocol.WorkerError`;
 * **total loss** — if every worker dies, :class:`FleetError` names the
-  missing trial ranges.
+  lost trial ranges.
 
 Because shard merges are pure column placement, none of this scheduling —
-work stealing, retries, reassignment order — can change a single bit of the
+work stealing, retries, requeue order — can change a single bit of the
 final result; the conformance suite pins the merged output to the
 monolithic run on every backend.
 """
@@ -30,19 +33,21 @@ monolithic run on every backend.
 from __future__ import annotations
 
 import pickle
+import queue
 import socket
 import threading
 from collections import deque
 from typing import Any, Callable, List, Mapping, Sequence, Tuple
 
 from repro.core.config import EngineConfig
-from repro.core.results import PartialResult, ResultAccumulator
-from repro.parallel.device import WorkloadShape
-from repro.parallel.partitioner import TrialRange, shard_partition
+from repro.core.plan import ExecutionPlan, PlanBuilder
+from repro.core.results import EngineResult, PartialResult
+from repro.core.scheduler import PlanScheduler, ShardRun
+from repro.parallel.partitioner import TrialRange
 from repro.portfolio.layer import Layer
 from repro.portfolio.program import ReinsuranceProgram
 from repro.service.digests import program_digest, yet_digest
-from repro.utils.timing import Timer
+from repro.utils.timing import PhaseTimer
 from repro.yet.io import YetShardReader, yet_to_bytes
 from repro.yet.stores import InMemoryYetStore, LocalDirYetStore
 from repro.yet.table import YearEventTable
@@ -188,19 +193,12 @@ def probe_worker(address: str, timeout: float = 2.0) -> dict:
         return {"reachable": False, "error": str(exc)}
 
 
-class _WorkerState:
-    """One worker's coordinator-side bookkeeping."""
-
-    def __init__(self, client: WorkerClient) -> None:
-        self.client = client
-        self.alive = True
-        self.shards_done = 0
-        self.shipped_program = False
-        self.shipped_yet = False
-
-
-class FleetEngine:
+class FleetEngine(PlanScheduler):
     """Coordinate one analysis across a fleet of socket workers.
+
+    A :class:`~repro.core.scheduler.PlanScheduler` whose executor is the
+    fleet: :meth:`run` lowers the program and calls ``run_plan``, and
+    :meth:`open` returns the work-stealing executor over the workers.
 
     Parameters
     ----------
@@ -216,6 +214,9 @@ class FleetEngine:
         once on a fresh connection before the worker is declared dead.
     """
 
+    # Workers report no phase times back.
+    records_phases = False
+
     def __init__(
         self,
         workers: Sequence[str | Tuple[str, int]],
@@ -224,20 +225,20 @@ class FleetEngine:
     ) -> None:
         if not workers:
             raise ValueError("a fleet needs at least one worker address")
-        self.config = config if config is not None else EngineConfig()
+        super().__init__(config if config is not None else EngineConfig())
+        self.name = self.config.backend
         self.timeout = float(timeout)
-        self._states = [
-            _WorkerState(WorkerClient(address, timeout=self.timeout))
-            for address in workers
-        ]
+        self._clients = [WorkerClient(address, timeout=self.timeout) for address in workers]
+        self._program: ReinsuranceProgram | None = None
+        self._on_partial: Callable[[PartialResult], None] | None = None
 
     @property
     def worker_addresses(self) -> List[str]:
-        return [state.client.address for state in self._states]
+        return [client.address for client in self._clients]
 
     def close(self) -> None:
-        for state in self._states:
-            state.client.close()
+        for client in self._clients:
+            client.close()
 
     def __enter__(self) -> "FleetEngine":
         return self
@@ -245,16 +246,13 @@ class FleetEngine:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # ------------------------------------------------------------------ #
-    # The run
-    # ------------------------------------------------------------------ #
     def run(
         self,
         program: ReinsuranceProgram | Layer,
         source: YearEventTable | YetShardReader,
         n_shards: int = 0,
         on_partial: Callable[[PartialResult], None] | None = None,
-    ):
+    ) -> EngineResult:
         """Price ``program`` over ``source`` on the fleet; exact merge.
 
         ``source`` is an in-memory YET (shipped to each worker once,
@@ -264,237 +262,194 @@ class FleetEngine:
         their own shards).  ``n_shards`` defaults to two shards per worker
         (work stealing needs more shards than workers to balance), or the
         config's ``trial_shards`` when that is larger.  ``on_partial`` is
-        called (on a coordinator thread) after each block is accumulated —
-        the hook the progress displays and the worker-kill drill use.
+        called on the calling thread after each block is accumulated — the
+        hook the progress displays and the worker-kill drill use.
         """
         program = ReinsuranceProgram.wrap(program)
-        prog_digest = program_digest(program)
-        config_fields = encode_config(self.config)
-        yet_ref, yet_bytes_factory, n_trials = self._describe_source(source)
+        count = n_shards or max(self.config.trial_shards, 2 * len(self._clients))
+        self._program, self._on_partial = program, on_partial
+        return self.run_plan(PlanBuilder.from_program(program, source, n_shards=count))
 
-        count = n_shards or max(self.config.trial_shards, 2 * len(self._states))
-        shard_queue: "deque[TrialRange]" = deque(shard_partition(n_trials, count))
-        total_shards = len(shard_queue)
-
-        wall = Timer().start()
-        accumulator = ResultAccumulator(
-            program.n_layers, n_trials, row_names=program.layer_names
-        )
-        lock = threading.Lock()
-        program_bytes: List[bytes | None] = [None]  # pickled lazily, at most once
-        retries = [0]
-        ship = _ArtifactShipper(
-            prog_digest, program, program_bytes, yet_ref, yet_bytes_factory
-        )
-
-        def worker_loop(state: _WorkerState) -> None:
-            while True:
-                with lock:
-                    if not shard_queue:
-                        return
-                    trials = shard_queue.popleft()
-                try:
-                    partial = self._run_shard_with_retry(
-                        state, trials, prog_digest, yet_ref, config_fields, ship
-                    )
-                except _WorkerLost:
-                    with lock:
-                        state.alive = False
-                        shard_queue.append(trials)
-                        retries[0] += 1
-                    return
-                with lock:
-                    accumulator.add(partial)
-                    state.shards_done += 1
-                if on_partial is not None:
-                    on_partial(partial)
-
-        threads = [
-            threading.Thread(
-                target=worker_loop,
-                args=(state,),
-                name=f"fleet-{state.client.address}",
-                daemon=True,
-            )
-            for state in self._states
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        reassigned = self._reassign_missing(
-            accumulator, prog_digest, yet_ref, config_fields, ship, on_partial
-        )
-
-        gaps = accumulator.missing_ranges()
-        if gaps:
-            ranges = ", ".join(f"[{g.start}, {g.stop})" for g in gaps)
-            raise FleetError(
-                f"fleet lost trial ranges {ranges}: no surviving worker "
-                f"(workers: {', '.join(self.worker_addresses)})"
-            )
-
-        dead = [s.client.address for s in self._states if not s.alive]
-        return accumulator.finalize(
-            self.config.backend,
-            wall_seconds=wall.stop(),
-            workload_shape=WorkloadShape.of_program(program, source),
-            details={
-                "fleet": {
-                    "workers": self.worker_addresses,
-                    "shards_per_worker": {
-                        s.client.address: s.shards_done for s in self._states
-                    },
-                    "n_shards": total_shards,
-                    "dead_workers": dead,
-                    "requeued_shards": retries[0],
-                    "reassigned_ranges": reassigned,
-                },
-            },
-        )
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _describe_source(self, source):
-        """``(ref, inline-bytes factory, n_trials)``."""
-        if isinstance(source, YearEventTable):
-            digest = yet_digest(source)
-            ref = {"kind": InMemoryYetStore.kind, "digest": digest}
-            return ref, (lambda: yet_to_bytes(source)), source.n_trials
-        if isinstance(source, YetShardReader):
-            ref = {"kind": LocalDirYetStore.kind, "path": str(source.path.resolve())}
-            return ref, None, source.n_trials
-        raise TypeError(
-            "source must be a YearEventTable or a YetShardReader, got "
-            f"{type(source).__name__}"
-        )
-
-    def _run_shard_with_retry(
-        self,
-        state: _WorkerState,
-        trials: TrialRange,
-        prog_digest: str,
-        yet_ref: Mapping[str, Any],
-        config_fields: Mapping[str, Any],
-        ship: "_ArtifactShipper",
-    ) -> PartialResult:
-        """One shard on one worker: ship-on-missing, then timeout + one retry."""
-        for attempt in (0, 1):
-            try:
-                try:
-                    return state.client.run_shard(
-                        prog_digest, yet_ref, config_fields, trials
-                    )
-                except MissingArtifact as exc:
-                    # Not a failure: ship what the worker asked for, resend.
-                    ship.ship(state, exc.missing)
-                    return state.client.run_shard(
-                        prog_digest, yet_ref, config_fields, trials
-                    )
-            except (socket.timeout, ConnectionError, OSError, EOFError):
-                if attempt == 1:
-                    break
-                try:
-                    state.client.reconnect()
-                except OSError:
-                    break
-                # A fresh connection forgets nothing worker-side (the caches
-                # are per-worker, not per-connection), so the retry is warm.
-                continue
-            except WorkerError:
-                # The worker is alive but rejected the request — that is a
-                # programming error, not a transport failure; surface it.
-                raise
-        state.client.close()
-        raise _WorkerLost(state.client.address)
-
-    def _reassign_missing(
-        self,
-        accumulator: ResultAccumulator,
-        prog_digest: str,
-        yet_ref: Mapping[str, Any],
-        config_fields: Mapping[str, Any],
-        ship: "_ArtifactShipper",
-        on_partial: Callable[[PartialResult], None] | None,
-    ) -> int:
-        """Price any still-missing ranges on surviving workers.
-
-        Covers the drain race: a worker can die after the queue emptied, so
-        its requeued shard was never picked up.  ``missing_ranges()`` is the
-        ground truth of what remains — the reassignment loop prices each gap
-        on the next surviving worker until the domain is tiled or no
-        survivors remain.
-        """
-        reassigned = 0
-        while True:
-            gaps = accumulator.missing_ranges()
-            survivors = [s for s in self._states if s.alive]
-            if not gaps or not survivors:
-                return reassigned
-            progressed = False
-            for trials in gaps:
-                state = next((s for s in self._states if s.alive), None)
-                if state is None:
-                    return reassigned
-                try:
-                    partial = self._run_shard_with_retry(
-                        state, trials, prog_digest, yet_ref, config_fields, ship
-                    )
-                except _WorkerLost:
-                    state.alive = False
-                    continue
-                accumulator.add(partial)
-                if on_partial is not None:
-                    on_partial(partial)
-                reassigned += 1
-                progressed = True
-            if not progressed:
-                return reassigned
+    def open(self, plan: ExecutionPlan, timer: PhaseTimer) -> "_FleetRun":
+        return _FleetRun(self, plan, self._program, self._on_partial)
 
 
-class _WorkerLost(RuntimeError):
-    """A worker failed its retry and is considered dead (internal signal)."""
+class _FleetRun(ShardRun):
+    """One fleet run over one plan: the work-stealing executor.
 
-
-class _ArtifactShipper:
-    """Ships missing artifacts to a worker, serialising the program once."""
+    Holds the run's artifact references (program digest, YET reference,
+    config fields), the program and YET bytes (serialised at most once, the
+    first time a worker reports them missing) and the bookkeeping that
+    becomes ``details["fleet"]``.  One condition guards the queue, the
+    in-flight count and the counters.
+    """
 
     def __init__(
         self,
-        prog_digest: str,
+        fleet: FleetEngine,
+        plan: ExecutionPlan,
         program: ReinsuranceProgram,
-        program_bytes: List[bytes | None],
-        yet_ref: Mapping[str, Any],
-        yet_bytes_factory: Callable[[], bytes] | None,
+        on_partial: Callable[[PartialResult], None] | None,
     ) -> None:
-        self._prog_digest = prog_digest
-        self._program = program
-        self._program_bytes = program_bytes
-        self._yet_ref = yet_ref
-        self._yet_bytes_factory = yet_bytes_factory
+        super().__init__(None, {})
+        self.clients = fleet._clients
+        self.program = program
+        self.on_partial = on_partial
+        self.source = plan.yet
+        if isinstance(self.source, YearEventTable):
+            self.yet_ref = {"kind": InMemoryYetStore.kind, "digest": yet_digest(self.source)}
+        elif isinstance(self.source, YetShardReader):
+            self.yet_ref = {
+                "kind": LocalDirYetStore.kind,
+                "path": str(self.source.path.resolve()),
+            }
+        else:
+            raise TypeError(
+                "source must be a YearEventTable or a YetShardReader, got "
+                f"{type(self.source).__name__}"
+            )
+        self.digest = program_digest(program)
+        self.config_fields = encode_config(fleet.config)
+        self._program_bytes: bytes | None = None
         self._yet_bytes: bytes | None = None
-        self._lock = threading.Lock()
+        self._cond = threading.Condition()
+        self._queue: "deque[TrialRange]" = deque()
+        self._in_flight = 0
+        self._stopping = False
+        self._threads: List[threading.Thread] = []
+        self._done = {client.address: 0 for client in self.clients}
+        self._dead: List[str] = []
+        self._requeued = 0
 
-    def ship(self, state: _WorkerState, missing: Mapping[str, str]) -> None:
+    def map(self, shards: Sequence[TrialRange]):
+        """Price the shards on the workers, yielding partials as they arrive."""
+        arrived: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._queue.extend(shards)
+        self._threads = [
+            threading.Thread(
+                target=self._drain,
+                args=(client, arrived),
+                name=f"fleet-{client.address}",
+                daemon=True,
+            )
+            for client in self.clients
+        ]
+        for thread in self._threads:
+            thread.start()
+        running = len(self._threads)
+        while running:
+            item = arrived.get()
+            if item is None:  # one coordinator thread finished
+                running -= 1
+            elif isinstance(item, BaseException):
+                raise item
+            else:
+                yield item
+                if self.on_partial is not None:
+                    self.on_partial(item)
+        workers = [client.address for client in self.clients]
+        if self._queue:
+            lost = sorted(self._queue, key=lambda trials: trials.start)
+            raise FleetError(
+                "fleet lost trial ranges "
+                + ", ".join(f"[{t.start}, {t.stop})" for t in lost)
+                + f": no surviving worker (workers: {', '.join(workers)})"
+            )
+        self.details["fleet"] = {
+            "workers": workers,
+            "shards_per_worker": dict(self._done),
+            "n_shards": len(shards),
+            "dead_workers": list(self._dead),
+            "requeued_shards": self._requeued,
+        }
+
+    def close(self) -> None:
+        with self._cond:
+            self._stopping = True
+            self._cond.notify_all()
+        for thread in self._threads:
+            thread.join()
+
+    def _drain(self, client: WorkerClient, arrived: "queue.SimpleQueue") -> None:
+        """One worker's coordinator thread: price queued shards until none remain.
+
+        The thread leaves when the queue is empty and no shard is in flight
+        (an in-flight shard may still be requeued by a dying worker), when
+        its own worker is lost, or when the run stops.  Partials, then any
+        exception, then ``None`` go to ``arrived``.
+        """
+        try:
+            while True:
+                with self._cond:
+                    while not self._queue and self._in_flight and not self._stopping:
+                        self._cond.wait()
+                    if self._stopping or not self._queue:
+                        return
+                    trials = self._queue.popleft()
+                    self._in_flight += 1
+                partial = self._run_shard_with_retry(client, trials)
+                with self._cond:
+                    self._in_flight -= 1
+                    self._cond.notify_all()
+                    if partial is None:
+                        self._dead.append(client.address)
+                        self._queue.append(trials)
+                        self._requeued += 1
+                        return
+                    self._done[client.address] += 1
+                arrived.put(partial)
+        except BaseException as exc:  # noqa: BLE001 - re-raised from map()
+            with self._cond:
+                self._stopping = True
+                self._cond.notify_all()
+            arrived.put(exc)
+        finally:
+            arrived.put(None)
+
+    def _run_shard_with_retry(
+        self, client: WorkerClient, trials: TrialRange
+    ) -> PartialResult | None:
+        """One shard on one worker: ship-on-missing, then timeout + one retry.
+
+        ``None`` means a second transport failure lost the worker.  A
+        :class:`WorkerError` (the worker is alive but rejected the request)
+        propagates.
+        """
+        request = (self.digest, self.yet_ref, self.config_fields, trials)
+        for attempt in (0, 1):
+            try:
+                try:
+                    return client.run_shard(*request)
+                except MissingArtifact as exc:
+                    # Not a failure: ship what the worker asked for, resend.
+                    self._ship(client, exc.missing)
+                    return client.run_shard(*request)
+            except (OSError, EOFError):
+                if attempt == 1:
+                    break
+                try:
+                    # A fresh connection forgets nothing worker-side (the
+                    # caches are per-worker, not per-connection).
+                    client.reconnect()
+                except OSError:
+                    break
+        client.close()
+        return None
+
+    def _ship(self, client: WorkerClient, missing: Mapping[str, str]) -> None:
         if "program" in missing:
-            with self._lock:
-                if self._program_bytes[0] is None:
-                    self._program_bytes[0] = pickle.dumps(self._program)
-                payload = self._program_bytes[0]
-            state.client.put_program(self._prog_digest, payload)
-            state.shipped_program = True
+            with self._cond:
+                if self._program_bytes is None:
+                    self._program_bytes = pickle.dumps(self.program)
+            client.put_program(self.digest, self._program_bytes)
         if "yet" in missing:
-            if self._yet_bytes_factory is None:
+            if not isinstance(self.source, YearEventTable):
                 raise WorkerError(
-                    f"worker {state.client.address} reports the YET store "
-                    f"{self._yet_ref} missing, but it is a filesystem reference "
-                    "the coordinator cannot ship — check the shared mount"
+                    f"worker {client.address} reports the YET store {self.yet_ref} "
+                    "missing, but it is a filesystem reference the coordinator "
+                    "cannot ship — check the shared mount"
                 )
-            with self._lock:
+            with self._cond:
                 if self._yet_bytes is None:
-                    self._yet_bytes = self._yet_bytes_factory()
-                payload = self._yet_bytes
-            state.client.put_yet(str(self._yet_ref.get("digest")), payload)
-            state.shipped_yet = True
+                    self._yet_bytes = yet_to_bytes(self.source)
+            client.put_yet(self.yet_ref["digest"], self._yet_bytes)

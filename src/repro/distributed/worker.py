@@ -1,15 +1,16 @@
 """The fleet worker: ``are worker`` — a warm shard-pricing socket server.
 
 One worker process hosts one warm engine per requested configuration plus a
-digest-keyed artifact cache (programs, inline-shipped YETs, opened trial
-sources, and one plan per workload).  The first ``run_shard`` request for a
-workload ships the program (and, without a shared filesystem, the YET)
-once; every later request — from the same analysis or the next one — sends
-only digests, so a warm worker goes straight from the control line to the
-kernel pass, exactly like :class:`~repro.service.cache.PlanCache` does
-in-process.  A shard is the cached plan restricted to its trial range: the
-restricted plan shares the workload's fused stack and reads only its own
-trial window from the source.
+digest-keyed artifact cache: programs, trial sources (inline-shipped YETs
+and opened store readers) and one plan per workload, the last two bounded
+by ``cache_size``.  The first ``run_shard`` request for a workload ships
+the program (and, without a shared filesystem, the YET) once; every later
+request — from the same analysis or the next one — sends only digests, so
+a warm worker goes straight from the control line to the kernel pass,
+exactly like :class:`~repro.service.cache.PlanCache` does in-process.  A
+shard is the cached plan restricted to its trial range: the restricted
+plan shares the workload's fused stack and reads only its own trial window
+from the source.
 
 The server is deliberately *threaded-blocking*, not asyncio: a worker's job
 is to saturate its cores with one kernel pass at a time (executions
@@ -30,6 +31,7 @@ import pickle
 import socket
 import threading
 import weakref
+from collections import OrderedDict
 from dataclasses import replace
 from typing import Any, Mapping, Tuple
 
@@ -41,6 +43,7 @@ from repro.parallel.partitioner import TrialRange
 from repro.service.cache import CacheStats, PlanCache
 from repro.service.digests import config_digest, program_digest
 from repro.service.response import error_payload
+from repro.yet.io import YetShardReader, yet_from_bytes
 from repro.yet.stores import InMemoryYetStore, resolve_yet_ref
 from repro.distributed.protocol import (
     MissingArtifact,
@@ -71,8 +74,10 @@ class FleetWorker:
         Provenance label stamped into every produced partial's ``details``
         (and therefore into accumulator overlap diagnostics).
     cache_size:
-        Capacity of the plan cache: one plan per (program digest, YET
-        reference, config digest), shared by every shard of that workload.
+        Capacity of the plan cache (one plan per program digest, YET
+        reference and config digest, shared by every shard of that
+        workload) and of the trial-source cache (inline-shipped YETs and
+        opened store readers, least recently used evicted first).
     """
 
     def __init__(
@@ -90,8 +95,7 @@ class FleetWorker:
         self.plan_cache = PlanCache(maxsize=cache_size)
         self.served = 0
         self._programs: dict[str, Any] = {}
-        self._yets = InMemoryYetStore()
-        self._sources: dict[tuple, Any] = {}
+        self._sources: "OrderedDict[tuple, Any]" = OrderedDict()
         self._engines: dict[str, AggregateRiskEngine] = {}
         # Trial ranges each cached plan has priced (dies with the plan).
         self._priced: "weakref.WeakKeyDictionary[ExecutionPlan, set]" = (
@@ -171,6 +175,10 @@ class FleetWorker:
                 pass
         for engine in self._engines.values():
             engine.close()
+        with self._state_lock:
+            for source in self._sources.values():
+                if isinstance(source, YetShardReader):
+                    source.close()
 
     def __enter__(self) -> "FleetWorker":
         return self.start()
@@ -268,7 +276,9 @@ class FleetWorker:
     def _status(self) -> dict:
         with self._state_lock:
             programs = sorted(self._programs)
-            yets = self._yets.keys()
+            yets = sorted(
+                key for kind, key in self._sources if kind == InMemoryYetStore.kind
+            )
         return {
             "ok": True,
             "worker": self.name,
@@ -302,24 +312,41 @@ class FleetWorker:
         if payload is None:
             raise ValueError("put_yet requires a YET payload")
         digest = str(document["digest"])
+        yet = yet_from_bytes(payload)
         with self._state_lock:
-            self._yets.put_bytes(digest, payload)
+            self._cache_source((InMemoryYetStore.kind, digest), yet)
         return {"ok": True, "stored": digest}
 
-    def _source_for(self, ref: Mapping[str, Any]):
-        """A (cached) trial source for a store reference.
+    def _cache_source(self, key: tuple, source: Any) -> None:
+        """Insert (or refresh) a trial source, evicting beyond ``cache_size``.
 
-        Sources are cached per reference so a local-dir store is mmap'd
-        once per worker, not once per shard — concurrent workers each hold
-        their own read-only mapping of the same files.
+        Eviction drops only this cache's reference: a cached plan may still
+        price from the source, so it is not closed.  A later shard over an
+        evicted inline YET is answered with ``MissingArtifact`` and the
+        coordinator ships it again.
+        """
+        self._sources[key] = source
+        self._sources.move_to_end(key)
+        while len(self._sources) > self.plan_cache.maxsize:
+            self._sources.popitem(last=False)
+
+    def _source_for(self, ref: Mapping[str, Any]):
+        """The cached trial source for a store reference (``None``: not shipped).
+
+        An inline YET is only ever cached by ``put_yet``; a local-dir store
+        is opened on first use and cached, so it is mmap'd once per worker,
+        not once per shard — concurrent workers each hold their own
+        read-only mapping of the same files.
         """
         kind = ref.get("kind")
-        key = (kind, ref.get("path") or ref.get("digest"))
+        inline = kind == InMemoryYetStore.kind
+        key = (kind, ref.get("digest") if inline else ref.get("path"))
         with self._state_lock:
             source = self._sources.get(key)
-            if source is None:
-                source = resolve_yet_ref(ref, inline_store=self._yets)
-                self._sources[key] = source
+            if source is None and not inline:
+                source = resolve_yet_ref(ref)
+            if source is not None:
+                self._cache_source(key, source)
         return source
 
     def _engine_for(self, config: EngineConfig) -> Tuple[AggregateRiskEngine, str]:
@@ -341,9 +368,8 @@ class FleetWorker:
             program = self._programs.get(prog_digest)
         if program is None:
             missing["program"] = prog_digest
-        if yet_ref.get("kind") == InMemoryYetStore.kind and not self._yets.contains(
-            str(yet_ref.get("digest"))
-        ):
+        source = self._source_for(yet_ref)
+        if source is None:
             missing["yet"] = str(yet_ref.get("digest"))
         if missing:
             raise MissingArtifact(missing)
@@ -351,7 +377,6 @@ class FleetWorker:
         overrides = decode_config_overrides(document.get("config") or {})
         config = self.config.replace(**overrides) if overrides else self.config
         engine, cfg_digest = self._engine_for(config)
-        source = self._source_for(yet_ref)
 
         yet_key = yet_ref.get("digest") or yet_ref.get("path")
         plan, plan_hit = self.plan_cache.get_or_build(

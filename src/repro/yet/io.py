@@ -251,37 +251,38 @@ class YetShardReader:
         the shard's global placement travels alongside it through the
         :class:`~repro.parallel.partitioner.TrialRange`.
         """
-        event_ids = self._require_open()
-        check_trial_range(trials.start, trials.stop, self.n_trials)
-        lo = int(self.trial_offsets[trials.start])
-        hi = int(self.trial_offsets[trials.stop])
-        offsets = self.trial_offsets[trials.start : trials.stop + 1] - lo
-        # np.array (not asarray): a slice of a memmap is still a view on the
-        # file mapping, so an explicit copy is required for the returned
-        # table to be genuinely in-memory — independent of close() and of
-        # the store file's lifetime.
-        timestamps = (
-            np.array(self._timestamps[lo:hi]) if self._timestamps is not None else None
-        )
-        return YearEventTable(
-            np.array(event_ids[lo:hi]),
-            offsets,
-            self.catalog_size,
-            timestamps,
-        )
+        return self._copy_window(trials.start, trials.stop, timestamps=True)
 
     def trial_window(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(event_ids, local_offsets)`` of trials ``[start, stop)``.
 
         The same pair as :meth:`YearEventTable.trial_window`, so every pricer
-        reads a stored YET like an in-memory one; the window is copied (and
-        validated) through :meth:`shard`, so only it becomes resident.
+        reads a stored YET like an in-memory one.  The window is copied and
+        validated like a :meth:`shard`, but without the timestamps no pricer
+        reads, so only its event ids and offsets become resident.
         """
-        # Checked first so an inverted range raises the table's IndexError,
-        # not TrialRange's ValueError.
-        check_trial_range(start, stop, self.n_trials)
-        window = self.shard(TrialRange(start, stop))
+        window = self._copy_window(start, stop, timestamps=False)
         return window.event_ids, window.trial_offsets
+
+    def _copy_window(self, start: int, stop: int, timestamps: bool) -> YearEventTable:
+        # The table's bounds contract, checked before the offsets are
+        # indexed (a negative start would wrap around).
+        check_trial_range(start, stop, self.n_trials)
+        event_ids = self._require_open()
+        lo = int(self.trial_offsets[start])
+        hi = int(self.trial_offsets[stop])
+        # np.array (not asarray): a slice of a memmap is still a view on the
+        # file mapping, so an explicit copy is required for the returned
+        # table to be genuinely in-memory — independent of close() and of
+        # the store file's lifetime.
+        return YearEventTable(
+            np.array(event_ids[lo:hi]),
+            self.trial_offsets[start : stop + 1] - lo,
+            self.catalog_size,
+            np.array(self._timestamps[lo:hi])
+            if timestamps and self._timestamps is not None
+            else None,
+        )
 
     def shard_ranges(self, n_shards: int) -> List[TrialRange]:
         """At most ``n_shards`` contiguous non-empty trial ranges covering the table."""

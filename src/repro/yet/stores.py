@@ -11,9 +11,9 @@ reach.  This module defines the store contract and two backends:
   and copies only the trial windows it prices.
 * :class:`InMemoryYetStore` — an object-store-style mapping of key to table,
   fed either with live tables or with the :func:`~repro.yet.io.yet_to_bytes`
-  wire blobs the coordinator ships when no filesystem is shared.  This is
-  also the worker-side artifact cache: the first request for a digest ships
-  the bytes, every later request resolves the digest against the cache.
+  wire blobs the coordinator ships when no filesystem is shared.  Its
+  ``inline`` kind names those shipped tables on the wire: a worker keeps
+  them in its bounded trial-source cache, keyed by digest.
 
 Both backends hand out **trial sources**: the local-dir store opens a
 :class:`~repro.yet.io.YetShardReader`, the in-memory store returns the
@@ -120,9 +120,8 @@ class LocalDirYetStore(YetStore):
 class InMemoryYetStore(YetStore):
     """An object-store-style in-memory mapping of key to table.
 
-    Doubles as the worker-side artifact cache for tables shipped inline
-    over the wire (:meth:`put_bytes` / :meth:`get_bytes` round-trip through
-    :func:`~repro.yet.io.yet_to_bytes`).
+    :meth:`put_bytes` / :meth:`get_bytes` round-trip tables through the
+    :func:`~repro.yet.io.yet_to_bytes` wire form a coordinator ships inline.
     """
 
     kind = "inline"
@@ -164,10 +163,7 @@ def resolve_yet_ref(ref: Mapping[str, Any], inline_store: InMemoryYetStore | Non
     ``{"kind": "local_dir", "path": ...}`` opens a
     :class:`~repro.yet.io.YetShardReader` on the referenced store directory;
     ``{"kind": "inline", "digest": ...}`` resolves against ``inline_store``
-    (the worker's artifact cache) and raises ``KeyError`` when the digest
-    has not been shipped yet — the signal the worker protocol translates
-    into a *missing artifact* reply so the coordinator ships the bytes and
-    retries.
+    and raises ``KeyError`` when the digest is not stored there.
     """
     kind = ref.get("kind")
     if kind == LocalDirYetStore.kind:

@@ -2,17 +2,27 @@
 
 The invariant carried over from the sharded-execution suite: shard merges
 are pure column placement, so no amount of work stealing, retrying, or
-reassignment may change a single bit of the merged result.
+requeueing may change a single bit of the merged result.
 """
 
 from __future__ import annotations
+
+import shutil
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core.config import BACKEND_NAMES, EngineConfig
 from repro.core.engine import AggregateRiskEngine
-from repro.distributed import FleetEngine, FleetError, FleetWorker, WorkerProcess
+from repro.distributed import (
+    FleetEngine,
+    FleetError,
+    FleetWorker,
+    WorkerError,
+    WorkerProcess,
+)
 from repro.service.request import AnalysisRequest
 from repro.service.service import RiskService
 from repro.yet.io import YetShardReader, save_yet_store
@@ -50,6 +60,26 @@ def test_work_is_distributed_across_workers(tiny_workload):
         assert sum(per_worker.values()) == 8
 
 
+def test_shard_accounting_under_thread_contention(tiny_workload):
+    # More coordinator threads than cores, switching every few microseconds:
+    # a lost update on the shared queue or counters breaks the tally.
+    program, yet = tiny_workload.program, tiny_workload.yet
+    config = EngineConfig(backend="vectorized")
+    mono = AggregateRiskEngine(config).run(program, yet)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with FleetWorker(config=config) as w1, FleetWorker(config=config) as w2:
+            with FleetEngine([w1.address, w2.address] * 2, config=config) as fleet:
+                result = fleet.run(program, yet, n_shards=32)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(mono.ylt.losses, result.ylt.losses)
+    details = result.details["fleet"]
+    assert sum(details["shards_per_worker"].values()) == 32
+    assert details["dead_workers"] == [] and details["requeued_shards"] == 0
+
+
 def test_partials_stream_as_they_arrive(tiny_workload):
     program, yet = tiny_workload.program, tiny_workload.yet
     config = EngineConfig(backend="vectorized")
@@ -77,6 +107,18 @@ def test_local_dir_store_reference(tiny_workload, tmp_path):
                 program, reader, workers=[w1.address, w2.address], n_shards=4
             )
     assert np.array_equal(mono.ylt.losses, fleet.ylt.losses)
+
+
+def test_result_carries_the_scheduler_details(tiny_workload):
+    program, yet = tiny_workload.program, tiny_workload.yet
+    config = EngineConfig(backend="vectorized")
+    with FleetWorker(config=config) as worker:
+        result = AggregateRiskEngine(config).run_distributed(
+            program, yet, workers=[worker.address], n_shards=3
+        )
+    assert result.details["trial_shards"] == 3
+    assert result.details["plan"]["trial_range"] == [0, yet.n_trials]
+    assert result.details["fleet"]["shards_per_worker"] == {worker.address: 3}
 
 
 def test_second_run_reuses_shipped_artifacts(tiny_workload):
@@ -136,9 +178,76 @@ class TestWorkerDeath:
             )
         assert np.array_equal(mono.ylt.losses, fleet.ylt.losses)
         details = fleet.details["fleet"]
-        assert details["dead_workers"] == [victim.address] or details[
-            "requeued_shards"
-        ] + details["reassigned_ranges"] >= 0
+        assert sum(details["shards_per_worker"].values()) == 8
+        # The victim may finish its last shard before the kill lands, so it
+        # is not necessarily dead; the survivor never is.
+        assert set(details["dead_workers"]) <= {victim.address}
+        assert survivor.address not in details["dead_workers"]
+        # A worker dies only inside a shard attempt, which requeues that shard.
+        assert details["requeued_shards"] >= len(details["dead_workers"])
+
+
+class _StalledWorker(FleetWorker):
+    """A worker that accepts shard requests but answers none until released."""
+
+    def __init__(self, release: threading.Event, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.release = release
+
+    def _run_shard(self, document):
+        self.release.wait()
+        return super()._run_shard(document)
+
+
+class TestFaultPaths:
+    def test_stalled_worker_is_dropped_and_its_shard_requeued(self, tiny_workload):
+        program, yet = tiny_workload.program, tiny_workload.yet
+        config = EngineConfig(backend="vectorized")
+        engine = AggregateRiskEngine(config)
+        mono = engine.run(program, yet)
+        release = threading.Event()
+        with FleetWorker(config=config) as healthy, _StalledWorker(
+            release, config=config
+        ) as stalled:
+            try:
+                # The stalled worker's thread starts first and takes a shard;
+                # both attempts time out and the healthy worker, waiting for
+                # that in-flight shard, prices it once it is requeued.
+                fleet = engine.run_distributed(
+                    program,
+                    yet,
+                    workers=[stalled.address, healthy.address],
+                    n_shards=4,
+                    timeout=1.0,
+                )
+            finally:
+                release.set()
+        assert np.array_equal(mono.ylt.losses, fleet.ylt.losses)
+        details = fleet.details["fleet"]
+        assert details["dead_workers"] == [stalled.address]
+        assert details["requeued_shards"] >= 1
+        assert details["shards_per_worker"] == {stalled.address: 0, healthy.address: 4}
+
+    # Raised from the executor, not left as a coordinator-thread traceback.
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_worker_error_reaches_the_caller(self, tiny_workload, tmp_path):
+        program, yet = tiny_workload.program, tiny_workload.yet
+        config = EngineConfig(backend="vectorized")
+        engine = AggregateRiskEngine(config)
+        store = save_yet_store(yet, tmp_path / "store")
+        with FleetWorker(config=config) as w1, FleetWorker(config=config) as w2:
+            with YetShardReader(store) as reader:
+                # The coordinator keeps its mapping; the workers find no store.
+                shutil.rmtree(store)
+                with pytest.raises(WorkerError, match="no YET store") as excinfo:
+                    engine.run_distributed(
+                        program,
+                        reader,
+                        workers=[w1.address, w2.address],
+                        n_shards=4,
+                        timeout=10.0,
+                    )
+        assert excinfo.value.type == "FileNotFoundError"
 
 
 class TestServiceRoute:

@@ -16,11 +16,11 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.core.engine import AggregateRiskEngine
 from repro.distributed import FleetWorker, MissingArtifact, WorkerError
-from repro.distributed.fleet import WorkerClient, probe_worker
+from repro.distributed.fleet import FleetEngine, WorkerClient, probe_worker
 from repro.distributed.protocol import encode_config
 from repro.parallel.partitioner import TrialRange
 from repro.service.digests import program_digest, yet_digest
-from repro.yet.io import yet_to_bytes
+from repro.yet.io import YetShardReader, save_yet_store, yet_to_bytes
 
 
 CONFIG = EngineConfig(backend="vectorized")
@@ -148,6 +148,51 @@ class TestRunShard:
             client.run_shard(
                 digest, {"kind": "carrier-pigeon"}, encode_config(CONFIG), TrialRange(0, 8)
             )
+
+
+class _ShipCountingWorker(FleetWorker):
+    """Records the digest of every YET shipped to it."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.shipped: list[str] = []
+
+    def _put_yet(self, document, payload):
+        self.shipped.append(str(document["digest"]))
+        return super()._put_yet(document, payload)
+
+
+class TestSourceCache:
+    def test_inline_yets_are_bounded_by_cache_size(self, tiny_workload):
+        program, yet = tiny_workload.program, tiny_workload.yet
+        cache_size = 2
+        yets = [yet.slice_trials(i, yet.n_trials) for i in range(cache_size + 3)]
+        first = yet_digest(yets[0])
+        with _ShipCountingWorker(config=CONFIG, cache_size=cache_size) as worker:
+            with FleetEngine([worker.address], config=CONFIG) as fleet:
+                for table in yets:
+                    fleet.run(program, table, n_shards=2)
+                with WorkerClient(worker.address, timeout=10.0) as client:
+                    resident = client.status()["yets"]
+                assert len(resident) <= cache_size
+                assert first not in resident
+                again = fleet.run(program, yets[0], n_shards=2)
+        # The evicted YET was asked for again and shipped a second time.
+        assert worker.shipped.count(first) == 2
+        mono = AggregateRiskEngine(CONFIG).run(program, yets[0])
+        assert np.array_equal(again.ylt.losses, mono.ylt.losses)
+
+    def test_stop_closes_the_readers_it_opened(self, tiny_workload, tmp_path):
+        program, yet = tiny_workload.program, tiny_workload.yet
+        store = save_yet_store(yet, tmp_path / "store")
+        with FleetWorker(config=CONFIG) as worker:
+            with YetShardReader(store) as reader:
+                with FleetEngine([worker.address], config=CONFIG) as fleet:
+                    fleet.run(program, reader, n_shards=2)
+            opened = [s for s in worker._sources.values() if isinstance(s, YetShardReader)]
+            assert len(opened) == 1
+        with pytest.raises(ValueError, match="closed"):
+            opened[0].trial_window(0, 1)
 
 
 class TestShutdownAndStats:

@@ -150,6 +150,23 @@ class TestYetStore:
                     original.trial_window(start, stop)
                 assert str(from_reader.value) == str(from_table.value)
 
+    def test_trial_window_does_not_read_timestamps(self, tmp_path):
+        """No pricer reads timestamps, so the window never copies them."""
+        from repro.yet.io import YetShardReader, save_yet_store
+
+        class Unreadable:
+            def __getitem__(self, index):
+                raise AssertionError("trial_window read the timestamps column")
+
+        original = make_yet(True)
+        store = save_yet_store(original, tmp_path / "store")
+        with YetShardReader(store) as reader:
+            reader._timestamps = Unreadable()
+            ids, offsets = reader.trial_window(1, 3)
+        expected_ids, expected_offsets = original.trial_window(1, 3)
+        np.testing.assert_array_equal(ids, expected_ids)
+        np.testing.assert_array_equal(offsets, expected_offsets)
+
     def test_reader_pickles_as_its_store_path(self, tmp_path):
         """A reader crosses a process boundary as a path, not as columns."""
         import pickle
